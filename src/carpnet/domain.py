@@ -163,6 +163,20 @@ class ModelParams:
         return (self.alpha, self.beta, self.gamma)
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; booleans, strings and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; floats, booleans, strings and null are rejected."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _canonical_edges(edges: Iterable[Sequence[int]], size: int) -> tuple[tuple[int, int], ...]:
     seen: set[tuple[int, int]] = set()
     for edge in edges:
@@ -322,7 +336,7 @@ class RiskNetwork:
                 scheme = NormalizationScheme(block["scheme"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"bad normalization block: {block!r}") from exc
-            epsilon = float(block.get("epsilon", DEFAULT_EPSILON))
+            epsilon = _number(block.get("epsilon", DEFAULT_EPSILON), "normalization epsilon")
 
         def field(entry: dict, key: str):
             try:
@@ -330,14 +344,14 @@ class RiskNetwork:
             except (KeyError, TypeError) as exc:
                 raise ValidationError(f"risk entry missing field {key!r}: {entry!r}") from exc
 
-        raws = [float(field(e, "likelihood")) for e in entries]
+        raws = [_number(field(e, "likelihood"), "likelihood") for e in entries]
         explicit = ["normalized_likelihood" in e for e in entries]
         if any(explicit) and not all(explicit):
             raise ValidationError(
                 "either every risk entry carries 'normalized_likelihood' or none does"
             )
         if all(explicit):
-            normalized = [float(e["normalized_likelihood"]) for e in entries]
+            normalized = [_number(e["normalized_likelihood"], "normalized_likelihood") for e in entries]
         else:
             normalized = normalize_likelihoods(raws, scheme, epsilon)
         risks = []
@@ -349,7 +363,7 @@ class RiskNetwork:
                 raise ValidationError(f"unknown category {entry.get('category')!r}") from exc
             risks.append(
                 Risk(
-                    id=int(field(entry, "id")),
+                    id=_integer(field(entry, "id"), "risk id"),
                     name=str(name),
                     category=category,
                     raw_likelihood=raw,
@@ -359,7 +373,10 @@ class RiskNetwork:
         edges = data.get("edges", [])
         if not isinstance(edges, list):
             raise ValidationError("'edges' must be a list of id pairs")
-        return RiskNetwork(tuple(risks), tuple((e[0], e[1]) for e in edges), scheme, epsilon)
+        for edge in edges:
+            if not (type(edge) is list and len(edge) == 2 and type(edge[0]) is int and type(edge[1]) is int):
+                raise ValidationError(f"edge must be a pair of integer risk ids, got {edge!r}")
+        return RiskNetwork(tuple(risks), tuple(map(tuple, edges)), scheme, epsilon)
 
 
 def load_network(path: str | Path, fmt: str = "json") -> RiskNetwork:

@@ -6,6 +6,19 @@ contribution to every other risk's external activation share. The pairwise
 matrix aggregates to category level by exact pair counting, excluding
 self-pairs inside a category, and the category matrix is additionally
 rescaled to [0, 1] by a global min-max transform for comparability.
+
+Block solve
+-----------
+The R knockouts are not solved one network at a time. Knockout i is row i
+of a (B, R) block of likelihood vectors, equal to the network's except for
+its own risk, which is floored at ``KNOCKOUT_FLOOR``; the block shares the
+network's adjacency, so each sweep of the mean-field map is one
+``block @ adjacency`` product (:func:`carpnet.meanfield.solve_block`) and
+no network is rebuilt. Every row stops at its own convergence sweep, just
+as a one-row :func:`carpnet.meanfield.fixed_point` solve would. Rows are cut
+into blocks of at most ``BLOCK_CELLS`` cells, a bound on the working set
+that depends on R alone; blocks are the unit ``--threads`` spreads over, so
+the matrix is bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -17,10 +30,18 @@ import numpy as np
 
 from .domain import CATEGORIES, Category, ModelParams, RiskNetwork
 from .errors import ConvergenceError, ValidationError
-from .meanfield import DEFAULT_MAX_ITER, DEFAULT_TOL, fixed_point, transition_fractions
+from .meanfield import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    fixed_point,
+    solve_block,
+    transition_fractions,
+    transition_rates,
+)
 from .utils import ordered_map
 
 KNOCKOUT_FLOOR = 1e-12
+BLOCK_CELLS = 2**14
 
 
 def knockout(network: RiskNetwork, risk_id: int) -> RiskNetwork:
@@ -81,7 +102,8 @@ def influence_matrix(
 ) -> InfluenceMatrix:
     """Knockout influence of every risk on every other risk.
 
-    Solves one baseline and R knockout steady states; raises
+    Solves one baseline and R knockout steady states, the knockouts as rows
+    of blocks of at most ``BLOCK_CELLS`` cells; raises
     :class:`ConvergenceError` if any of them fails to converge, since a
     half-converged influence number is worse than none.
     """
@@ -89,19 +111,24 @@ def influence_matrix(
     if not baseline.converged:
         raise ConvergenceError("baseline steady state did not converge")
     base_ext = transition_fractions(baseline, network, params).a_ext
+    size = network.size
+    adjacency = network.adjacency_matrix.astype(np.float64)
+    rows_per_block = max(1, BLOCK_CELLS // size)
 
-    def knocked_row(risk_id: int) -> np.ndarray:
-        reduced = knockout(network, risk_id)
-        steady = fixed_point(reduced, params, tol=tol, max_iter=max_iter)
-        if not steady.converged:
-            raise ConvergenceError(f"steady state with risk {risk_id} disabled did not converge")
-        return transition_fractions(steady, reduced, params).a_ext
+    def knocked_block(start: int) -> np.ndarray:
+        ids = np.arange(start, min(start + rows_per_block, size))
+        likelihoods = np.tile(network.likelihoods, (ids.size, 1))
+        likelihoods[np.arange(ids.size), ids] = KNOCKOUT_FLOOR
+        p, _, residuals = solve_block(likelihoods, adjacency, params, likelihoods, tol, max_iter)
+        failed = ids[~(residuals <= tol)]
+        if failed.size:
+            raise ConvergenceError(f"steady state with risk {failed[0]} disabled did not converge")
+        _, raw_ext, _, total = transition_rates(p, p @ adjacency, likelihoods, params)
+        return base_ext - raw_ext / total
 
-    rows = ordered_map(knocked_row, range(network.size), threads=threads)
-    values = np.empty((network.size, network.size), dtype=np.float64)
-    for i, knocked_ext in enumerate(rows):
-        values[i] = base_ext - knocked_ext
-        values[i, i] = 0.0
+    blocks = ordered_map(knocked_block, range(0, size, rows_per_block), threads=threads)
+    values = np.concatenate(blocks)
+    np.fill_diagonal(values, 0.0)
     return InfluenceMatrix(values=values, tol=tol)
 
 

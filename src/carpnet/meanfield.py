@@ -10,7 +10,11 @@ where ``P01_i(p) = 1 - (1 - L_i)**(alpha + beta * m_i)`` and ``m_i`` is the
 sum of the neighbors' probabilities (a real-valued expected active-neighbor
 count, unlike the integer counts of the stochastic kernel). The fixed point
 is solved by damped successive approximation with synchronous sweeps, so the
-iteration is deterministic and independent of risk ordering.
+iteration is deterministic and independent of risk ordering. The sweep loop
+(:func:`solve_block`) runs a (B, R) block of probability rows, one per
+likelihood vector over the same graph, with one matrix product per sweep;
+:func:`fixed_point` is its one-row call and the knockout influence matrix
+its many-row call.
 
 Transition decomposition
 ------------------------
@@ -70,9 +74,62 @@ class SteadyState:
         object.__setattr__(self, "p_hat", p)
 
 
-def _p01(p: np.ndarray, network: RiskNetwork, params: ModelParams) -> np.ndarray:
-    m = network.adjacency_matrix @ p
-    return activation_prob(network.likelihoods, params.alpha + params.beta * m)
+def _p01(p: np.ndarray, likelihoods: np.ndarray, adjacency: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Mean-field activation probability of every risk, row by row of ``p``.
+
+    ``p @ adjacency`` is each risk's expected active-neighbor count; the
+    adjacency is symmetric, so a (B, R) block needs one matrix product.
+    """
+    return activation_prob(likelihoods, params.alpha + params.beta * (p @ adjacency))
+
+
+def solve_block(
+    likelihoods: np.ndarray,
+    adjacency: np.ndarray,
+    params: ModelParams,
+    start: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    damping: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped synchronous sweeps on a (B, R) block, each row to its own fixed point.
+
+    Row b solves the self-consistency equations of the network with
+    likelihoods ``likelihoods[b]`` and the shared ``adjacency``, starting
+    from ``start[b]``. A row leaves the block at the sweep where its own
+    max-norm update first drops to ``tol``, so it takes exactly the sweeps a
+    one-row solve would; a row still moving after ``max_iter`` sweeps keeps
+    its last iterate. Returns ``(p, iterations, residuals)``, one entry per
+    row; row b converged iff ``residuals[b] <= tol``. Pass ``adjacency`` as
+    float64: an integer matrix would be cast again on every sweep.
+    """
+    if not (tol > 0.0):
+        raise ValidationError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    if not (0.0 < damping <= 1.0):
+        raise ValidationError(f"damping must lie in (0, 1], got {damping}")
+
+    out = np.array(start, dtype=np.float64)
+    iterations = np.full(out.shape[0], max_iter, dtype=np.int64)
+    residuals = np.full(out.shape[0], math.inf)
+    live = np.arange(out.shape[0])
+    p, p_rec = out, survival_prob(likelihoods, params.gamma)
+    for iteration in range(1, max_iter + 1):
+        p01 = _p01(p, likelihoods, adjacency, params)
+        new = p + damping * (p01 / (p01 + p_rec) - p)
+        residual = np.max(np.abs(new - p), axis=1)
+        p = new
+        done = residual <= tol
+        if done.any() or iteration == max_iter:
+            out[live] = p
+            residuals[live] = residual
+            iterations[live[done]] = iteration
+            keep = ~done
+            live, p, likelihoods, p_rec = live[keep], p[keep], likelihoods[keep], p_rec[keep]
+            if live.size == 0:
+                break
+    return out, iterations, residuals
 
 
 def fixed_point(
@@ -89,14 +146,9 @@ def fixed_point(
     ``tol`` in the max norm. The undamped map is a monotone contraction for
     realistic month-scale parameters, so ``damping=1.0`` is the default;
     smaller values trade speed for robustness. Returns ``converged=False``
-    instead of raising when ``max_iter`` is exhausted.
+    instead of raising when ``max_iter`` is exhausted. This is the one-row
+    call of :func:`solve_block`.
     """
-    if not (tol > 0.0):
-        raise ValidationError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
-    if not (0.0 < damping <= 1.0):
-        raise ValidationError(f"damping must lie in (0, 1], got {damping}")
     if not isinstance(init, InitMode):
         raise ValidationError(f"init must be an InitMode, got {init!r}")
 
@@ -105,19 +157,13 @@ def fixed_point(
     elif init is InitMode.ONES:
         p = np.ones(network.size)
     else:
-        p = network.likelihoods.copy()
-
-    p_rec = survival_prob(network.likelihoods, params.gamma)
-    residual = math.inf
-    for iteration in range(1, max_iter + 1):
-        p01 = _p01(p, network, params)
-        target = p01 / (p01 + p_rec)
-        new = p + damping * (target - p)
-        residual = float(np.max(np.abs(new - p)))
-        p = new
-        if residual <= tol:
-            return SteadyState(p, iteration, residual, True)
-    return SteadyState(p, max_iter, residual, False)
+        p = network.likelihoods
+    adjacency = network.adjacency_matrix.astype(np.float64)
+    p, iterations, residuals = solve_block(
+        network.likelihoods[None], adjacency, params, p[None], tol, max_iter, damping
+    )
+    residual = float(residuals[0])
+    return SteadyState(p[0], int(iterations[0]), residual, residual <= tol)
 
 
 def stationarity_residual(p: np.ndarray, network: RiskNetwork, params: ModelParams) -> float:
@@ -132,7 +178,7 @@ def stationarity_residual(p: np.ndarray, network: RiskNetwork, params: ModelPara
         raise ValidationError(f"probability vector must have shape ({network.size},), got {p.shape}")
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValidationError("probabilities must lie in [0, 1]")
-    p01 = _p01(p, network, params)
+    p01 = _p01(p, network.likelihoods, network.adjacency_matrix, params)
     p_con = activation_prob(network.likelihoods, params.gamma)
     return float(np.max(np.abs((1.0 - p) * p01 + p * p_con - p)))
 
@@ -159,6 +205,24 @@ class TransitionFractions:
             object.__setattr__(self, name, arr)
 
 
+def transition_rates(
+    p: np.ndarray, m: np.ndarray, likelihoods: np.ndarray, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Expected per-month internal, external and recovery rates, and their total.
+
+    ``p`` are steady-state probabilities and ``m`` the matching expected
+    active-neighbor counts, as a vector or a (B, R) block of rows. Raises
+    :class:`ValidationError` if some risk has zero total rate.
+    """
+    raw_int = (1.0 - p) * activation_prob(likelihoods, params.alpha)
+    raw_ext = (1.0 - p) * activation_prob(likelihoods, params.beta * m)
+    raw_rec = p * survival_prob(likelihoods, params.gamma)
+    total = raw_int + raw_ext + raw_rec
+    if not (total > 0.0).all():
+        raise ValidationError("degenerate steady state: some risk has zero total transition rate")
+    return raw_int, raw_ext, raw_rec, total
+
+
 def transition_fractions(steady: SteadyState, network: RiskNetwork, params: ModelParams) -> TransitionFractions:
     """Split each risk's steady-state transition rate into its three classes."""
     if not steady.converged:
@@ -166,14 +230,8 @@ def transition_fractions(steady: SteadyState, network: RiskNetwork, params: Mode
     p = steady.p_hat
     if p.shape != (network.size,):
         raise ValidationError(f"steady state has {p.shape[0]} risks but the network has {network.size}")
-    likelihoods = network.likelihoods
-    m = network.adjacency_matrix @ p
-    raw_int = (1.0 - p) * activation_prob(likelihoods, params.alpha)
-    raw_ext = (1.0 - p) * activation_prob(likelihoods, params.beta * m)
-    raw_rec = p * survival_prob(likelihoods, params.gamma)
-    total = raw_int + raw_ext + raw_rec
-    if not (total > 0.0).all():
-        raise ValidationError("degenerate steady state: some risk has zero total transition rate")
+    m = p @ network.adjacency_matrix
+    raw_int, raw_ext, raw_rec, total = transition_rates(p, m, network.likelihoods, params)
     return TransitionFractions(
         a_int=raw_int / total,
         a_ext=raw_ext / total,

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -319,6 +321,69 @@ class TestExitCodes:
     def test_version_flag_exits_0(self, capsys):
         assert run(["--version"]) == 0
         assert "carpnet" in capsys.readouterr().out
+
+
+def _risk(risk_id=0, **fields):
+    entry = {"id": risk_id, "name": f"r{risk_id}", "category": "Economic", "likelihood": 0.5}
+    entry.update(fields)
+    return entry
+
+
+def _two_risks(**overrides):
+    return {"risks": [_risk(0), _risk(1, likelihood=0.6)], "edges": [[0, 1]], **overrides}
+
+
+BAD_NETWORKS = {
+    "top-level-list": [_risk(0)],
+    "risks-not-objects": {"risks": [5], "edges": []},
+    "edges-not-a-list": _two_risks(edges={"0": 1}),
+    "edge-not-a-pair": _two_risks(edges=[5]),
+    "edge-single-id": _two_risks(edges=[[0]]),
+    "edge-triple": _two_risks(edges=[[0, 1, 1]]),
+    "edge-string-ids": _two_risks(edges=[["0", "1"]]),
+    "edge-float-id": _two_risks(edges=[[0.5, 1]]),
+    "edge-unknown-id": _two_risks(edges=[[0, 7]]),
+    "id-string": {"risks": [_risk("x")], "edges": []},
+    "id-float": {"risks": [_risk(0.5)], "edges": []},
+    "id-bool": {"risks": [_risk(True)], "edges": []},
+    "id-missing": {"risks": [{"name": "a", "category": "Economic", "likelihood": 0.5}], "edges": []},
+    "likelihood-string": {"risks": [_risk(0, likelihood="high")], "edges": []},
+    "likelihood-null": {"risks": [_risk(0, likelihood=None)], "edges": []},
+    "likelihood-list": {"risks": [_risk(0, likelihood=[0.5])], "edges": []},
+    "normalized-likelihood-string": {"risks": [_risk(0, normalized_likelihood="0.5")], "edges": []},
+    "epsilon-string": _two_risks(normalization={"scheme": "minmax", "epsilon": "small"}),
+    "epsilon-null": _two_risks(normalization={"scheme": "minmax", "epsilon": None}),
+    "scheme-unknown": _two_risks(normalization={"scheme": "zscore"}),
+    "normalization-not-an-object": _two_risks(normalization="minmax"),
+    "category-unknown": {"risks": [_risk(0, category="Cosmic")], "edges": []},
+}
+
+
+class TestMalformedNetworkFiles:
+    @pytest.mark.parametrize("document", BAD_NETWORKS.values(), ids=BAD_NETWORKS.keys())
+    def test_exits_1_with_an_error_line(self, tmp_path, capsys, document):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code = run(["steady-state", "--network", str(path), *PARAM_FLAGS, "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert re.search(r"^error: ", capsys.readouterr().err, re.MULTILINE)
+
+
+def _readme_network_json() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"\*\*Network JSON\*\*.*?```json\n(.*?)```", readme, re.DOTALL)
+    assert match, "README has no **Network JSON** example block"
+    return match.group(1)
+
+
+class TestReadmeExamples:
+    def test_network_json_example_loads_and_solves(self, tmp_path):
+        network = tmp_path / "net.json"
+        network.write_text(_readme_network_json(), encoding="utf-8")
+        out = tmp_path / "steady.csv"
+        assert run(["steady-state", "--network", str(network), *PARAM_FLAGS, "--output", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert [row[1] for row in rows] == ["Fiscal crises", "Extreme weather"]
 
 
 class TestConsoleEntryPoint:

@@ -8,14 +8,19 @@ from carpnet import (
     Category,
     ConvergenceError,
     InfluenceMatrix,
+    InitMode,
     KNOCKOUT_FLOOR,
     ModelParams,
     ValidationError,
     category_influence,
+    fixed_point,
     influence_matrix,
     knockout,
+    transition_fractions,
 )
-from tests.helpers import PARAMS_FAST, make_network
+from carpnet.influence import BLOCK_CELLS
+from carpnet.meanfield import solve_block
+from tests.helpers import PARAMS_FAST, PARAMS_SLOW, make_network, random_network
 
 STAR_PARAMS = ModelParams(0.02, 0.03, 1.2)
 
@@ -37,6 +42,80 @@ class TestKnockout:
     def test_rejects_bad_id(self):
         with pytest.raises(ValidationError):
             knockout(star_network(), 4)
+
+
+def isolated_network():
+    # risks 3 and 4 have no edges
+    return make_network([0.5, 0.6, 0.7, 0.55, 0.65], [(0, 1), (1, 2)])
+
+
+def generated_network():
+    # R=150 needs two row blocks of at most BLOCK_CELLS cells
+    return random_network(np.random.default_rng(2024), 150, 1500, 0.5, 0.8)
+
+
+def per_row_reference(network, params):
+    """Influence matrix from one rebuilt network and one solve per knockout."""
+    base_ext = transition_fractions(fixed_point(network, params), network, params).a_ext
+    values = np.zeros((network.size, network.size))
+    for i in range(network.size):
+        reduced = knockout(network, i)
+        steady = fixed_point(reduced, params)
+        values[i] = base_ext - transition_fractions(steady, reduced, params).a_ext
+        values[i, i] = 0.0
+    return values
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize(
+        "build, params",
+        [(star_network, STAR_PARAMS), (isolated_network, PARAMS_FAST), (generated_network, PARAMS_FAST)],
+        ids=["star", "isolated", "generated-r150"],
+    )
+    def test_matches_per_row_knockout_reference(self, build, params):
+        network = build()
+        matrix = influence_matrix(network, params)
+        assert np.abs(matrix.values - per_row_reference(network, params)).max() <= 1e-12
+
+    def test_thread_count_is_bit_identical_across_blocks(self):
+        network = generated_network()
+        assert network.size > BLOCK_CELLS // network.size  # more than one row block
+        serial = influence_matrix(network, PARAMS_FAST, threads=1)
+        threaded = influence_matrix(network, PARAMS_FAST, threads=3)
+        assert np.array_equal(serial.values, threaded.values)
+
+    def test_each_row_takes_the_sweeps_of_its_own_solve(self):
+        network = star_network()
+        likelihoods = np.tile(network.likelihoods, (network.size, 1))
+        np.fill_diagonal(likelihoods, KNOCKOUT_FLOOR)
+        adjacency = network.adjacency_matrix.astype(np.float64)
+        _, iterations, _ = solve_block(likelihoods, adjacency, STAR_PARAMS, likelihoods)
+        expected = [fixed_point(knockout(network, i), STAR_PARAMS).iterations for i in range(network.size)]
+        assert iterations.tolist() == expected
+
+    def test_exhausted_rows_report_max_iter_and_a_large_residual(self):
+        network = star_network()
+        likelihoods = np.tile(network.likelihoods, (2, 1))
+        adjacency = network.adjacency_matrix.astype(np.float64)
+        _, iterations, residuals = solve_block(likelihoods, adjacency, STAR_PARAMS, likelihoods, max_iter=1)
+        assert iterations.tolist() == [1, 1]
+        assert (residuals > 1e-10).all()
+
+    @pytest.mark.parametrize(
+        "params, init, damping, iterations",
+        [
+            (PARAMS_FAST, InitMode.LIKELIHOODS, 1.0, 32),
+            (PARAMS_FAST, InitMode.ZEROS, 0.5, 73),
+            (PARAMS_FAST, InitMode.ONES, 0.5, 74),
+            (PARAMS_SLOW, InitMode.LIKELIHOODS, 1.0, 24),
+            (PARAMS_SLOW, InitMode.ONES, 1.0, 25),
+        ],
+    )
+    def test_fixed_point_keeps_its_iteration_counts(self, params, init, damping, iterations):
+        # counts of the plain one-vector iteration on this network; the one-row block must keep them
+        steady = fixed_point(generated_network(), params, init=init, damping=damping)
+        assert steady.converged
+        assert steady.iterations == iterations
 
 
 class TestInfluenceMatrix:
