@@ -49,6 +49,7 @@ from typing import Iterable, Sequence
 
 import networkx as nx
 import numpy as np
+from scipy import sparse
 
 from .errors import ValidationError
 from .utils import atomic_write_text
@@ -266,6 +267,19 @@ class RiskNetwork:
         return mat
 
     @cached_property
+    def adjacency_csr(self) -> sparse.csr_matrix:
+        """Symmetric int64 CSR adjacency built from ``edges``.
+
+        Its product with 0/1 state bits counts active neighbors exactly at
+        any degree, where the int8 ``adjacency_matrix`` would wrap past 127.
+        """
+        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        rows = np.concatenate((pairs[:, 0], pairs[:, 1]))
+        cols = np.concatenate((pairs[:, 1], pairs[:, 0]))
+        ones = np.ones(rows.size, dtype=np.int64)
+        return sparse.csr_matrix((ones, (rows, cols)), shape=(self.size, self.size))
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor id tuples, sorted, indexed by risk id."""
         lists: list[list[int]] = [[] for _ in range(self.size)]
@@ -388,7 +402,10 @@ def load_network(path: str | Path, fmt: str = "json") -> RiskNetwork:
     """
     if fmt != "json":
         raise ValidationError(f"unsupported network format {fmt!r}, only 'json' is implemented")
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -464,7 +481,10 @@ def save_panel(panel: EventPanel, path: str | Path) -> None:
 def load_panel(path: str | Path) -> EventPanel:
     """Load a CSV panel; calendar labels in the header are recovered if present."""
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+        try:
+            rows = [row for row in csv.reader(handle) if row]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path}: not a UTF-8 CSV panel: {exc}") from exc
     if len(rows) < 2:
         raise ValidationError(f"{path}: panel needs a header row and at least one risk row")
     header, body = rows[0], rows[1:]

@@ -22,9 +22,11 @@ Sampling uses numpy's Philox counter-based generator (4x64, 128-bit key).
 A stream is addressed by two 64-bit words, master seed and stream index, via
 :func:`philox_stream`; the same pair always replays the same sequence, and
 distinct pairs are independent for all practical purposes. One synchronous
-step consumes exactly R uniforms from its stream, in risk-id order, so run
-ensembles can be re-partitioned across workers without changing a single
-draw.
+step consumes exactly R uniforms from its stream, in risk-id order. Philox
+continues a stream across calls, so drawing S steps' uniforms at once equals
+S single-step draws; Monte Carlo ensembles use this to step all their runs
+as one batched (runs × R) block through the same kernel as :func:`step`,
+with the same draws and therefore the same states.
 """
 
 from __future__ import annotations
@@ -132,9 +134,25 @@ def prob_activate(risk_id: int, state: NetworkState, network: RiskNetwork, param
     if not (0 <= risk_id < network.size):
         raise ValidationError(f"risk id {risk_id} outside 0..{network.size - 1}")
     _check_state(state, network)
-    k = int(network.adjacency_matrix[risk_id] @ state.bits)
+    k = int((network.adjacency_csr @ state.bits)[risk_id])
     likelihood = network.risks[risk_id].normalized_likelihood
     return float(activation_prob(likelihood, params.alpha + k * params.beta))
+
+
+def _step_block(bits: np.ndarray, uniforms: np.ndarray, network: RiskNetwork, params: ModelParams) -> np.ndarray:
+    """One synchronous update of a (B × R) block of states against (B × R) uniforms.
+
+    Row b of ``bits`` is one run's 0/1 state and row b of ``uniforms`` its R
+    draws for this step; a 1-D state with R uniforms is the B = 1 case. Active
+    neighbors are counted exactly through the sparse adjacency, so the result
+    is the same at any degree. Inputs are not validated: callers own the
+    shapes and the 0/1 contract.
+    """
+    k = (network.adjacency_csr @ bits.T).T
+    likelihoods = network.likelihoods
+    p_act = activation_prob(likelihoods, params.alpha + params.beta * k)
+    p_con = activation_prob(likelihoods, params.gamma)
+    return (uniforms < np.where(bits == 0, p_act, p_con)).view(np.int8)
 
 
 def step(state: NetworkState, network: RiskNetwork, params: ModelParams, rng: np.random.Generator) -> NetworkState:
@@ -146,14 +164,8 @@ def step(state: NetworkState, network: RiskNetwork, params: ModelParams, rng: np
     ``rng``, one per risk in id order, regardless of the state.
     """
     _check_state(state, network)
-    bits = state.bits
-    uniforms = rng.random(network.size)
-    k = network.adjacency_matrix @ bits
-    likelihoods = network.likelihoods
-    p_act = activation_prob(likelihoods, params.alpha + params.beta * k)
-    p_con = activation_prob(likelihoods, params.gamma)
-    new_bits = np.where(bits == 0, uniforms < p_act, uniforms < p_con)
-    return NetworkState(new_bits.astype(np.int8), state.time + 1)
+    bits = _step_block(state.bits, rng.random(network.size), network, params)
+    return NetworkState(bits, state.time + 1)
 
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:

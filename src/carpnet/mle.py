@@ -51,7 +51,7 @@ class PanelStats:
             raise ValidationError("likelihood evaluation needs a panel with at least 2 months")
         states = panel.states
         old, new = states[:, :-1], states[:, 1:]
-        counts = network.adjacency_matrix @ old  # active neighbors at the earlier month
+        counts = network.adjacency_csr @ old  # active neighbors at the earlier month, exact
         kmax = int(network.degrees.max(initial=0))
         size = network.size
         c01 = np.zeros((size, kmax + 1), dtype=np.int64)

@@ -1,11 +1,14 @@
 """Seeded ensemble simulation of risk cascades and temporal influence curves.
 
-Runs are embarrassingly parallel and exactly reproducible: run r of an
-ensemble draws from the Philox stream keyed (master seed, r), one synchronous
-step consumes exactly R uniforms, and per-cell activity is accumulated as
-integer counts that are divided by the run count once at the end. Results are
-therefore exact multiples of 1/runs and bit-identical however the runs are
-scheduled across threads.
+Runs are independent and exactly reproducible: run r of an ensemble draws
+from the Philox stream keyed (master seed, r), one synchronous step consumes
+exactly R uniforms, and per-cell activity is accumulated as integer counts
+that are divided by the run count once at the end. All runs step together as
+one batched (runs × R) block through the kernel behind
+:func:`carpnet.dynamics.step`, in blocks of runs and chunks of steps whose
+sizes depend on R alone. Each run's stream is drawn in the same order as a
+loop of single steps would draw it, so results are exact multiples of
+1/runs and bit-identical to that loop; the thread count never changes them.
 
 Temporal influence compares two ensembles that share every random draw: in
 ensemble A the source risk starts active, in ensemble B it does not, and
@@ -18,6 +21,7 @@ and makes each ensemble's marginal law identical to a standalone
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,12 +30,12 @@ import networkx as nx
 import numpy as np
 
 from .domain import EventPanel, ModelParams, RiskNetwork
-from .dynamics import NetworkState, philox_stream, step
+from .dynamics import NetworkState, _step_block, philox_stream
 from .errors import ValidationError
 from .meanfield import fixed_point
-from .utils import ordered_map
 
 DEFAULT_MAX_CELLS = 2**31
+BLOCK_CELLS = 2**17  # uniforms held at once: 1 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,8 @@ class SimulationConfig:
     ``initial_state`` is ``"dormant"``, ``"active"``, or an explicit 0/1
     vector. ``max_cells`` caps ``runs * horizon * n_risks`` so a typo cannot
     exhaust memory. ``record_panels`` keeps every run's full trajectory.
+    ``threads`` is validated but never changes an output byte: the runs
+    step as one batched block.
     """
 
     runs: int = 1000
@@ -116,20 +122,44 @@ class FrequencyTrajectory:
         return self.counts / float(self.runs)
 
 
-def _run_trajectory(
-    network: RiskNetwork,
-    params: ModelParams,
-    init_bits: np.ndarray,
-    horizon: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    track = np.empty((network.size, horizon), dtype=np.int8)
-    state = NetworkState(init_bits)
-    track[:, 0] = state.bits
-    for t in range(1, horizon):
-        state = step(state, network, params, rng)
-        track[:, t] = state.bits
-    return track
+def _check_cells(network: RiskNetwork, config: SimulationConfig) -> None:
+    cells = config.runs * config.horizon * network.size
+    if cells > config.max_cells:
+        raise ValidationError(
+            f"requested {cells} state cells, above the configured cap {config.max_cells}"
+        )
+
+
+def _ensemble(network: RiskNetwork, params: ModelParams, config: SimulationConfig, start):
+    """Step every run of ``config``; yield ``(first run, t, bits)`` per run block and step.
+
+    Run r draws from ``philox_stream(config.seed, r)``. ``start`` receives a
+    block's B streams and returns the block's initial bits: c ≥ 1 stacked
+    (B × R) copies of its runs, which may draw from the streams first. Each
+    copy then consumes the same R uniforms per step, drawn from every stream
+    in chunks of steps, so ``bits`` has c·B rows. Blocks and chunks are
+    sized from R alone: one chunk holds at most ``BLOCK_CELLS`` uniforms, or
+    one step of one run when R exceeds that.
+    """
+    size = network.size
+    rows = max(1, BLOCK_CELLS // size)  # (run, step) rows of R uniforms per chunk
+    runs_per_block = math.isqrt(rows)
+    steps_per_chunk = rows // runs_per_block
+    for first in range(0, config.runs, runs_per_block):
+        last = min(first + runs_per_block, config.runs)
+        rngs = [philox_stream(config.seed, r) for r in range(first, last)]
+        bits = start(rngs)
+        reps = (len(bits) // len(rngs), 1)
+        yield first, 0, bits
+        chunk = np.empty((len(rngs), steps_per_chunk, size))
+        for t in range(1, config.horizon):
+            s = (t - 1) % steps_per_chunk
+            if s == 0:
+                steps = min(steps_per_chunk, config.horizon - t)
+                for rng, out in zip(rngs, chunk):
+                    rng.random(out=out[:steps])
+            bits = _step_block(bits, np.tile(chunk[:, s], reps), network, params)
+            yield first, t, bits
 
 
 def simulate(network: RiskNetwork, params: ModelParams, config: SimulationConfig) -> FrequencyTrajectory:
@@ -139,37 +169,22 @@ def simulate(network: RiskNetwork, params: ModelParams, config: SimulationConfig
     initial condition), so a horizon of H covers H - 1 steps. Identical
     inputs give bit-identical outputs for any thread count.
     """
-    cells = config.runs * config.horizon * network.size
-    if cells > config.max_cells:
-        raise ValidationError(
-            f"requested {cells} state cells, above the configured cap {config.max_cells}"
-        )
+    _check_cells(network, config)
     init_bits = _initial_bits(config.initial_state, network)
 
-    def run_block(run_ids: range):
-        counts = np.zeros((network.size, config.horizon), dtype=np.int64)
-        panels = []
-        for r in run_ids:
-            track = _run_trajectory(network, params, init_bits, config.horizon, philox_stream(config.seed, r))
-            counts += track
-            if config.record_panels:
-                panels.append(EventPanel(track))
-        return counts, panels
+    def start(rngs):
+        return np.tile(init_bits, (len(rngs), 1))
 
-    blocks = _partition(config.runs, config.threads)
-    results = ordered_map(run_block, blocks, threads=config.threads)
-    counts = sum(block_counts for block_counts, _ in results)
-    panels: tuple[EventPanel, ...] | None = None
+    counts = np.zeros((network.size, config.horizon), dtype=np.int64)
+    tracks = None
     if config.record_panels:
-        panels = tuple(panel for _, block_panels in results for panel in block_panels)
+        tracks = np.empty((config.runs, network.size, config.horizon), dtype=np.int8)
+    for first, t, bits in _ensemble(network, params, config, start):
+        counts[:, t] += bits.sum(axis=0)
+        if tracks is not None:
+            tracks[first:first + len(bits), :, t] = bits
+    panels = None if tracks is None else tuple(EventPanel(track) for track in tracks)
     return FrequencyTrajectory(counts=counts, runs=config.runs, panels=panels)
-
-
-def _partition(runs: int, threads: int) -> list[range]:
-    if threads <= 1:
-        return [range(runs)]
-    block = -(-runs // threads)
-    return [range(lo, min(lo + block, runs)) for lo in range(0, runs, block)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,11 +235,7 @@ def temporal_influence(
         raise ValidationError(f"risk id {source} outside 0..{network.size - 1}")
     if baseline not in ("dormant", "steady"):
         raise ValidationError(f"baseline must be 'dormant' or 'steady', got {baseline!r}")
-    cells = config.runs * config.horizon * network.size
-    if cells > config.max_cells:
-        raise ValidationError(
-            f"requested {cells} state cells, above the configured cap {config.max_cells}"
-        )
+    _check_cells(network, config)
     p_steady = None
     if baseline == "steady":
         solution = fixed_point(network, params)
@@ -232,28 +243,19 @@ def temporal_influence(
             raise ValidationError("steady baseline requires a converged mean-field solve")
         p_steady = solution.p_hat
 
-    def run_block(run_ids: range):
-        counts_a = np.zeros((network.size, config.horizon), dtype=np.int64)
-        counts_b = np.zeros_like(counts_a)
-        for r in run_ids:
-            rng_a = philox_stream(config.seed, r)
-            rng_b = philox_stream(config.seed, r)
-            if p_steady is None:
-                base = np.zeros(network.size, dtype=np.int8)
-            else:
-                base = (rng_a.random(network.size) < p_steady).astype(np.int8)
-                rng_b.random(network.size)  # keep the two streams aligned
-            bits_a = base.copy()
-            bits_a[source] = 1
-            counts_a += _run_trajectory(network, params, bits_a, config.horizon, rng_a)
-            counts_b += _run_trajectory(network, params, base, config.horizon, rng_b)
-        return counts_a, counts_b
+    def start(rngs):
+        if p_steady is None:
+            base = np.zeros((len(rngs), network.size), dtype=np.int8)
+        else:
+            base = np.array([rng.random(network.size) < p_steady for rng in rngs], dtype=np.int8)
+        forced = base.copy()
+        forced[:, source] = 1
+        return np.concatenate((forced, base))  # ensembles A and B share every draw
 
-    blocks = _partition(config.runs, config.threads)
-    results = ordered_map(run_block, blocks, threads=config.threads)
-    counts_a = sum(a for a, _ in results)
-    counts_b = sum(b for _, b in results)
-    per_risk = (counts_a - counts_b) / float(config.runs)
+    counts = np.zeros((2, network.size, config.horizon), dtype=np.int64)
+    for _, t, bits in _ensemble(network, params, config, start):
+        counts[:, :, t] += bits.reshape(2, -1, network.size).sum(axis=1)
+    per_risk = (counts[0] - counts[1]) / float(config.runs)
     one_ids, two_ids = _distance_layers(network, source)
     one_curve = per_risk[list(one_ids)].mean(axis=0) if one_ids else None
     two_curve = per_risk[list(two_ids)].mean(axis=0) if two_ids else None

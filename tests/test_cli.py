@@ -356,6 +356,7 @@ BAD_NETWORKS = {
     "scheme-unknown": _two_risks(normalization={"scheme": "zscore"}),
     "normalization-not-an-object": _two_risks(normalization="minmax"),
     "category-unknown": {"risks": [_risk(0, category="Cosmic")], "edges": []},
+    "non-utf8": b"\xff\xfe{}",
 }
 
 
@@ -363,8 +364,36 @@ class TestMalformedNetworkFiles:
     @pytest.mark.parametrize("document", BAD_NETWORKS.values(), ids=BAD_NETWORKS.keys())
     def test_exits_1_with_an_error_line(self, tmp_path, capsys, document):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(document))
+        path.write_bytes(document if isinstance(document, bytes) else json.dumps(document).encode())
         code = run(["steady-state", "--network", str(path), *PARAM_FLAGS, "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert re.search(r"^error: ", capsys.readouterr().err, re.MULTILINE)
+
+
+def _panel_csv(rows):
+    return ("t0,t1,t2\n" + "".join(row + "\n" for row in rows)).encode()
+
+
+GOOD_ROWS = ["0,1,1"] * 10  # one row per risk of the 10-risk generated network
+
+BAD_PANELS = {
+    "non-utf8": b"\xff\xfe{}",
+    "header-only": b"t0,t1,t2\n",
+    "empty": b"",
+    "ragged-row": _panel_csv(GOOD_ROWS[:9] + ["0,1"]),
+    "cell-2": _panel_csv(GOOD_ROWS[:9] + ["0,2,1"]),
+    "row-count-differs": _panel_csv(GOOD_ROWS[:9]),
+    "field-over-csv-limit": _panel_csv(["0" * 200_000]),
+}
+
+
+class TestMalformedPanelFiles:
+    @pytest.mark.parametrize("content", BAD_PANELS.values(), ids=BAD_PANELS.keys())
+    def test_fit_exits_1_with_an_error_line(self, tmp_path, capsys, content):
+        network, _ = _generate(tmp_path)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        code = run(["fit", "--network", str(network), "--panel", str(path), "--output", str(tmp_path / "fit.json")])
         assert code == 1
         assert re.search(r"^error: ", capsys.readouterr().err, re.MULTILINE)
 

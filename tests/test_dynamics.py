@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from carpnet import (
     EventPanel,
@@ -167,26 +167,57 @@ def python_neighbor_counts(network, bits):
     return [sum(int(bits[j]) for j in network.neighbors(i)) for i in range(network.size)]
 
 
+def python_transition_counts(network, states):
+    """``PanelStats`` tables (c01, c00, n11, n10) by plain Python counting."""
+    degree = max(len(network.neighbors(i)) for i in range(network.size))
+    c01 = np.zeros((network.size, degree + 1), dtype=np.int64)
+    c00 = np.zeros_like(c01)
+    n11 = np.zeros(network.size, dtype=np.int64)
+    n10 = np.zeros_like(n11)
+    for t in range(states.shape[1] - 1):
+        counts = python_neighbor_counts(network, states[:, t])
+        for i, k in enumerate(counts):
+            old, new = states[i, t], states[i, t + 1]
+            if old == 0:
+                (c01 if new else c00)[i, k] += 1
+            else:
+                (n11 if new else n10)[i] += 1
+    return c01, c00, n11, n10
+
+
+def python_step(network, bits, params, uniforms):
+    """One synchronous step with plain ``**`` arithmetic and Python neighbor counts."""
+    counts = python_neighbor_counts(network, bits)
+    alpha, beta, gamma = params.as_tuple()
+    return [
+        int(u < 1.0 - (1.0 - risk.normalized_likelihood) ** (gamma if b else alpha + k * beta))
+        for u, b, k, risk in zip(uniforms, bits, counts, network.risks)
+    ]
+
+
 def hub_star(leaves=200):
-    """Hub 0 joined to ``leaves`` leaves: past 127 active leaves an int8 count wraps."""
+    """Hub 0 joined to ``leaves`` leaves: past 127 active leaves an int8 count would wrap."""
     return make_network([0.5] * (leaves + 1), [(0, j) for j in range(1, leaves + 1)])
 
 
 HUB_PARAMS = ModelParams(0.01, 0.05, 1.5)
-INT8_OVERFLOW = pytest.mark.xfail(
-    strict=True,
-    reason="neighbor counts are int8 and wrap above 127 active neighbors; "
-    "the sparse kernel of ROADMAP open item 3 counts exactly",
-)
+
+
+def assert_panel_stats_match_python(network, states):
+    stats = PanelStats(EventPanel(states), network)
+    c01, c00, n11, n10 = python_transition_counts(network, states)
+    assert np.array_equal(stats.c01, c01)
+    assert np.array_equal(stats.c00, c00)
+    assert np.array_equal(stats.n11, n11)
+    assert np.array_equal(stats.n10, n10)
 
 
 class TestNeighborCountOracle:
-    """Kernel consumers against a pure-Python neighbor count on a degree-200 hub."""
+    """Kernel consumers against a pure-Python neighbor count on high-degree hubs."""
 
     def _hub_dormant_leaves_active(self, network):
         return np.array([0] + [1] * (network.size - 1))
 
-    @INT8_OVERFLOW
     def test_prob_activate_counts_every_active_leaf(self):
         network = hub_star()
         bits = self._hub_dormant_leaves_active(network)
@@ -195,44 +226,40 @@ class TestNeighborCountOracle:
         got = prob_activate(0, NetworkState(bits), network, HUB_PARAMS)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    @INT8_OVERFLOW
     def test_step_matches_a_python_reference_step(self):
         network = hub_star()
         bits = self._hub_dormant_leaves_active(network)
-        counts = python_neighbor_counts(network, bits)
-        alpha, beta, gamma = HUB_PARAMS.as_tuple()
         for seed in range(5):
             uniforms = philox_stream(seed, 0).random(network.size)
-            expected = [
-                int(u < 1.0 - (1.0 - 0.5) ** (gamma if b else alpha + k * beta))
-                for u, b, k in zip(uniforms, bits, counts)
-            ]
             got = step(NetworkState(bits), network, HUB_PARAMS, philox_stream(seed, 0))
-            assert got.bits.tolist() == expected
+            assert got.bits.tolist() == python_step(network, bits, HUB_PARAMS, uniforms)
 
-    @INT8_OVERFLOW
     def test_panel_stats_match_python_transition_counts(self):
         network = hub_star()
         states = np.ones((network.size, 3), dtype=np.int8)
         states[0] = [0, 0, 1]  # hub stays dormant, then activates, under 200 active leaves
-        degree = max(len(network.neighbors(i)) for i in range(network.size))
-        c01 = np.zeros((network.size, degree + 1), dtype=np.int64)
-        c00 = np.zeros_like(c01)
-        n11 = np.zeros(network.size, dtype=np.int64)
-        n10 = np.zeros_like(n11)
-        for t in range(states.shape[1] - 1):
-            counts = python_neighbor_counts(network, states[:, t])
-            for i, k in enumerate(counts):
-                old, new = states[i, t], states[i, t + 1]
-                if old == 0:
-                    (c01 if new else c00)[i, k] += 1
-                else:
-                    (n11 if new else n10)[i] += 1
-        stats = PanelStats(EventPanel(states), network)
-        assert np.array_equal(stats.c01, c01)
-        assert np.array_equal(stats.c00, c00)
-        assert np.array_equal(stats.n11, n11)
-        assert np.array_equal(stats.n10, n10)
+        assert_panel_stats_match_python(network, states)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        leaves=st.integers(min_value=1, max_value=500),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        density=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_any_degree_and_active_set_matches_python(self, leaves, seed, density):
+        network = hub_star(leaves)
+        rng = np.random.default_rng(seed)
+        states = (rng.random((network.size, 2)) < density).astype(np.int8)
+        bits = states[:, 0]
+        counts = python_neighbor_counts(network, bits)
+        for risk in (0, leaves):
+            expected = 1.0 - 0.5 ** (HUB_PARAMS.alpha + counts[risk] * HUB_PARAMS.beta)
+            got = prob_activate(risk, NetworkState(bits), network, HUB_PARAMS)
+            assert got == pytest.approx(expected, rel=1e-12)
+        uniforms = philox_stream(seed, 0).random(network.size)
+        got = step(NetworkState(bits), network, HUB_PARAMS, philox_stream(seed, 0))
+        assert got.bits.tolist() == python_step(network, bits, HUB_PARAMS, uniforms)
+        assert_panel_stats_match_python(network, states)
 
 
 class TestPhiloxStream:

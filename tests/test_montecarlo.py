@@ -5,14 +5,18 @@ import pytest
 
 from carpnet import (
     ModelParams,
+    NetworkState,
     SimulationConfig,
     ValidationError,
     fixed_point,
+    philox_stream,
     poisson_probs,
     simulate,
+    step,
     temporal_influence,
 )
-from tests.helpers import PARAMS_FAST, make_network
+from carpnet import montecarlo
+from tests.helpers import PARAMS_FAST, make_network, random_network
 
 
 def small_network():
@@ -189,3 +193,77 @@ class TestTemporalInfluence:
             temporal_influence(net, PARAMS_FAST, 99, config)
         with pytest.raises(ValidationError):
             temporal_influence(net, PARAMS_FAST, 0, config, baseline="noise")
+
+
+def loop_track(network, params, bits, horizon, rng):
+    """One run as a loop of public ``step`` calls: the (R × horizon) 0/1 track."""
+    state = NetworkState(bits)
+    track = [state.bits]
+    for _ in range(1, horizon):
+        state = step(state, network, params, rng)
+        track.append(state.bits)
+    return np.stack(track, axis=1)
+
+
+def loop_simulate(network, params, config, init_bits):
+    """Per-run tracks of ``simulate``, run r stepped alone on ``philox_stream(seed, r)``."""
+    return [
+        loop_track(network, params, init_bits, config.horizon, philox_stream(config.seed, r))
+        for r in range(config.runs)
+    ]
+
+
+def loop_temporal_influence(network, params, source, config, baseline):
+    """``per_risk`` of ``temporal_influence``, each ensemble replaying every run's stream alone."""
+    p_steady = fixed_point(network, params).p_hat if baseline == "steady" else None
+    counts = np.zeros((2, network.size, config.horizon), dtype=np.int64)
+    for r in range(config.runs):
+        rng_a, rng_b = philox_stream(config.seed, r), philox_stream(config.seed, r)
+        base = np.zeros(network.size, dtype=np.int8)
+        if p_steady is not None:
+            base = (rng_a.random(network.size) < p_steady).astype(np.int8)
+            rng_b.random(network.size)
+        forced = base.copy()
+        forced[source] = 1
+        counts[0] += loop_track(network, params, forced, config.horizon, rng_a)
+        counts[1] += loop_track(network, params, base, config.horizon, rng_b)
+    return (counts[0] - counts[1]) / float(config.runs)
+
+
+# BLOCK_CELLS values giving (runs per block, steps per chunk) of one block,
+# (2, 2) and (1, 1) on the 12-risk network below
+BLOCK_CELLS = [montecarlo.BLOCK_CELLS, 60, 1]
+
+
+class TestBatchedEnsembleMatchesStepLoop:
+    """Blocked, chunked stepping reproduces a loop of single ``step`` calls exactly."""
+
+    NETWORK = random_network(np.random.default_rng(5), 12, 30, 0.4, 0.8)
+    PARAMS = ModelParams(0.05, 0.08, 1.5)
+
+    @pytest.fixture(params=BLOCK_CELLS, ids=lambda cells: f"cells{cells}")
+    def block_cells(self, request, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BLOCK_CELLS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("horizon", [1, 2, 9])
+    @pytest.mark.parametrize(
+        "initial, init_bits",
+        [("dormant", [0] * 12), ("active", [1] * 12), ([1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1],) * 2],
+        ids=["dormant", "active", "vector"],
+    )
+    def test_simulate_counts_and_panels(self, block_cells, horizon, initial, init_bits):
+        net = self.NETWORK
+        config = SimulationConfig(runs=7, horizon=horizon, seed=31, initial_state=initial, record_panels=True)
+        tracks = loop_simulate(net, self.PARAMS, config, init_bits)
+        trajectory = simulate(net, self.PARAMS, config)
+        assert [panel.states.tolist() for panel in trajectory.panels] == [t.tolist() for t in tracks]
+        assert np.array_equal(trajectory.counts, sum(t.astype(np.int64) for t in tracks))
+
+    @pytest.mark.parametrize("baseline", ["dormant", "steady"])
+    def test_temporal_influence_per_risk(self, block_cells, baseline):
+        net = self.NETWORK
+        config = SimulationConfig(runs=7, horizon=9, seed=37)
+        expected = loop_temporal_influence(net, self.PARAMS, 2, config, baseline)
+        result = temporal_influence(net, self.PARAMS, 2, config, baseline=baseline)
+        assert np.array_equal(result.per_risk, expected)
