@@ -1,13 +1,19 @@
 """Command-line interface.
 
-Every subcommand reads inputs from files, writes its main table to the path
-given by ``--output`` (CSV by default, ``--format json`` for a columns/rows
-object), and writes a ``<output>.meta.json`` sidecar with the tool version,
-the resolved options, sha256 digests of the inputs, and convergence
-diagnostics, so any result can be audited and reproduced. ``fit`` writes a
-single JSON document with the metadata embedded. All writes are atomic, no
-output carries a timestamp, and rerunning a command with the same inputs
-produces bit-identical files for any ``--threads`` setting.
+Six table subcommands (``steady-state``, ``transitions``, ``simulate``,
+``temporal-influence``, ``influence``, ``category-influence``) share one
+path: read a network JSON file, compute a table, write it to ``--output``
+(CSV by default, ``--format json`` for a columns/rows object), and write a
+``<output>.meta.json`` sidecar with the tool version, the options, sha256
+digests of the inputs, and headline results. ``generate`` reads no network;
+it writes a network and a panel, with the sidecar next to the panel. ``fit``
+writes a single JSON document with the metadata embedded.
+
+A sidecar's ``options`` are every parsed argument except files, the table
+format and the thread count (``fit`` nests its starting point under
+``init``), so any result can be audited and reproduced. All writes are
+atomic, no output carries a timestamp, and rerunning a command with the same
+inputs produces bit-identical files for any ``--threads`` setting.
 
 Exit codes: 0 success, 1 validation or file errors, 2 usage errors,
 3 non-convergence.
@@ -41,6 +47,14 @@ from .synth import generate_synthetic
 from .utils import atomic_write_text, sha256_file
 
 THREADS_ENV = "CARPNET_THREADS"
+
+# Parsed arguments that never enter a sidecar's options: dispatch entries,
+# input and output files, the table format and the thread count (which never
+# changes an output byte). ``--start-label`` is written into the panel itself.
+_NOT_OPTIONS = frozenset(
+    {"command", "handler", "compute", "network", "panel", "output", "format", "threads",
+     "network_out", "panel_out", "start_label"}
+)
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -78,12 +92,20 @@ def _write_sidecar(output: str, meta: dict) -> None:
     atomic_write_text(str(output) + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _options(args: argparse.Namespace) -> dict:
+    options = {name: value for name, value in vars(args).items() if name not in _NOT_OPTIONS}
+    if args.command == "fit":
+        options["init"] = {name: options.pop(f"init_{name}") for name in ("alpha", "beta", "gamma")}
+    return options
+
+
 def _meta(args: argparse.Namespace, inputs: dict[str, str], **extra) -> dict:
     meta = {
         "tool": "carpnet",
         "version": __version__,
         "command": args.command,
         "inputs": {name: sha256_file(path) for name, path in inputs.items()},
+        "options": _options(args),
     }
     meta.update(extra)
     return meta
@@ -94,12 +116,11 @@ def _params(args: argparse.Namespace) -> ModelParams:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    params = _params(args)
     network, panel = generate_synthetic(
         nodes=args.nodes,
         edges=args.edges,
         likelihood_range=tuple(args.likelihood_range),
-        params=params,
+        params=_params(args),
         panel_length=args.panel_length,
         seed=args.seed,
         initial_state=args.initial_state,
@@ -108,25 +129,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         panel = EventPanel(panel.states, start_label=args.start_label)
     save_network(network, args.network_out)
     save_panel(panel, args.panel_out)
-    _write_sidecar(
-        args.panel_out,
-        _meta(
-            args,
-            inputs={},
-            options={
-                "nodes": args.nodes,
-                "edges": args.edges,
-                "likelihood_range": list(args.likelihood_range),
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "gamma": params.gamma,
-                "panel_length": args.panel_length,
-                "seed": args.seed,
-                "initial_state": args.initial_state,
-            },
-            outputs={"network": str(args.network_out), "panel": str(args.panel_out)},
-        ),
-    )
+    outputs = {"network": str(args.network_out), "panel": str(args.panel_out)}
+    _write_sidecar(args.panel_out, _meta(args, {}, outputs=outputs))
     return 0
 
 
@@ -143,13 +147,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     result = fit(panel, network, init=init, config=config)
     document = _meta(
         args,
-        inputs={"network": args.network, "panel": args.panel},
-        options={
-            "starts": config.starts,
-            "seed": config.seed,
-            "max_iter": config.max_iter,
-            "init": {"alpha": init.alpha, "beta": init.beta, "gamma": init.gamma},
-        },
+        {"network": args.network, "panel": args.panel},
         result={
             "alpha": result.params.alpha,
             "beta": result.params.beta,
@@ -165,6 +163,20 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if not result.converged:
         print("fit did not converge within the iteration budget", file=sys.stderr)
         return 3
+    return 0
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    """Load the network, compute the subcommand's table, write it and its sidecar.
+
+    ``args.compute(args, network, params)`` returns ``(header, rows, result)``;
+    a ``result`` of None leaves the sidecar without one.
+    """
+    network = load_network(args.network)
+    header, rows, result = args.compute(args, network, _params(args))
+    _write_table(args.output, args.format, header, rows)
+    extra = {} if result is None else {"result": result}
+    _write_sidecar(args.output, _meta(args, {"network": args.network}, **extra))
     return 0
 
 
@@ -184,107 +196,46 @@ def _steady(args: argparse.Namespace, network, params: ModelParams):
     return steady
 
 
-def _cmd_steady_state(args: argparse.Namespace) -> int:
-    network = load_network(args.network)
-    params = _params(args)
+def _steady_state(args: argparse.Namespace, network, params: ModelParams):
     steady = _steady(args, network, params)
     rows = [[r.id, r.name, float(steady.p_hat[r.id])] for r in network.risks]
-    _write_table(args.output, args.format, ["risk", "name", "p_hat"], rows)
-    _write_sidecar(
-        args.output,
-        _meta(
-            args,
-            inputs={"network": args.network},
-            options=_solver_options(args),
-            result={
-                "iterations": steady.iterations,
-                "residual": steady.residual,
-                "stationarity_residual": stationarity_residual(steady.p_hat, network, params),
-                "converged": steady.converged,
-            },
-        ),
-    )
-    return 0
-
-
-def _solver_options(args: argparse.Namespace) -> dict:
-    return {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "init": args.init,
-        "damping": args.damping,
+    return ["risk", "name", "p_hat"], rows, {
+        "iterations": steady.iterations,
+        "residual": steady.residual,
+        "stationarity_residual": stationarity_residual(steady.p_hat, network, params),
+        "converged": steady.converged,
     }
 
 
-def _cmd_transitions(args: argparse.Namespace) -> int:
-    network = load_network(args.network)
-    params = _params(args)
+_FRACTIONS = ("a_int", "a_ext", "a_rec", "raw_int", "raw_ext", "raw_rec")
+
+
+def _transitions(args: argparse.Namespace, network, params: ModelParams):
     steady = _steady(args, network, params)
     fractions = transition_fractions(steady, network, params)
     rows = []
     for r in network.risks:
         exact, taylor = ext_int_ratio(steady, network, params, r.id)
-        rows.append(
-            [
-                r.id,
-                r.name,
-                r.category.value,
-                float(fractions.a_int[r.id]),
-                float(fractions.a_ext[r.id]),
-                float(fractions.a_rec[r.id]),
-                float(fractions.raw_int[r.id]),
-                float(fractions.raw_ext[r.id]),
-                float(fractions.raw_rec[r.id]),
-                exact,
-                taylor,
-            ]
-        )
-    header = [
-        "risk",
-        "name",
-        "category",
-        "a_int",
-        "a_ext",
-        "a_rec",
-        "raw_int",
-        "raw_ext",
-        "raw_rec",
-        "ratio_exact",
-        "ratio_taylor",
-    ]
-    _write_table(args.output, args.format, header, rows)
+        shares = [float(getattr(fractions, name)[r.id]) for name in _FRACTIONS]
+        rows.append([r.id, r.name, r.category.value, *shares, exact, taylor])
+    header = ["risk", "name", "category", *_FRACTIONS, "ratio_exact", "ratio_taylor"]
     share = fractions.a_int / (fractions.a_int + fractions.a_ext)
-    _write_sidecar(
-        args.output,
-        _meta(
-            args,
-            inputs={"network": args.network},
-            options=_solver_options(args),
-            result={
-                "iterations": steady.iterations,
-                "residual": steady.residual,
-                "mean_internal_share": float(share.mean()),
-                "mean_ratio_exact": float(sum(row[9] for row in rows) / len(rows)),
-                "mean_ratio_taylor": float(sum(row[10] for row in rows) / len(rows)),
-            },
-        ),
-    )
-    return 0
+    return header, rows, {
+        "iterations": steady.iterations,
+        "residual": steady.residual,
+        "mean_internal_share": float(share.mean()),
+        "mean_ratio_exact": float(sum(row[-2] for row in rows) / len(rows)),
+        "mean_ratio_taylor": float(sum(row[-1] for row in rows) / len(rows)),
+    }
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    network = load_network(args.network)
-    params = _params(args)
-    threads = _resolve_threads(args.threads)
+def _simulate(args: argparse.Namespace, network, params: ModelParams):
     config = SimulationConfig(
         runs=args.runs,
         horizon=args.horizon,
         seed=args.seed,
         initial_state=args.initial_state,
-        threads=threads,
+        threads=_resolve_threads(args.threads),
     )
     trajectory = simulate(network, params, config)
     frequencies = trajectory.frequencies
@@ -295,136 +246,48 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         rows.append(["inf"] + [float(v) for v in steady.p_hat])
     else:
         print("mean-field solve did not converge, 'inf' row omitted", file=sys.stderr)
-    _write_table(args.output, args.format, header, rows)
-    _write_sidecar(
-        args.output,
-        _meta(
-            args,
-            inputs={"network": args.network},
-            options={
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "gamma": params.gamma,
-                "runs": config.runs,
-                "horizon": config.horizon,
-                "seed": config.seed,
-                "initial_state": args.initial_state,
-            },
-            result={"meanfield_row": bool(steady.converged)},
-        ),
-    )
-    return 0
+    return header, rows, {"meanfield_row": bool(steady.converged)}
 
 
-def _cmd_temporal_influence(args: argparse.Namespace) -> int:
-    network = load_network(args.network)
-    params = _params(args)
-    threads = _resolve_threads(args.threads)
+def _temporal_influence(args: argparse.Namespace, network, params: ModelParams):
     config = SimulationConfig(
         runs=args.runs,
         horizon=args.horizon,
         seed=args.seed,
-        threads=threads,
+        threads=_resolve_threads(args.threads),
     )
     result = temporal_influence(network, params, args.source, config, baseline=args.baseline)
-    rows = []
-    for t in range(config.horizon):
-        rows.append(
-            [
-                t,
-                float(result.one_hop[t]) if result.one_hop is not None else None,
-                float(result.two_hop[t]) if result.two_hop is not None else None,
-            ]
-        )
-    _write_table(args.output, args.format, ["t", "one_hop", "two_hop"], rows)
-    _write_sidecar(
-        args.output,
-        _meta(
-            args,
-            inputs={"network": args.network},
-            options={
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "gamma": params.gamma,
-                "source": args.source,
-                "runs": config.runs,
-                "horizon": config.horizon,
-                "seed": config.seed,
-                "baseline": args.baseline,
-            },
-            result={
-                "one_hop_ids": list(result.one_hop_ids),
-                "two_hop_ids": list(result.two_hop_ids),
-            },
-        ),
-    )
-    return 0
+    curves = (result.one_hop, result.two_hop)
+    rows = [[t, *(None if c is None else float(c[t]) for c in curves)] for t in range(config.horizon)]
+    return ["t", "one_hop", "two_hop"], rows, {
+        "one_hop_ids": list(result.one_hop_ids),
+        "two_hop_ids": list(result.two_hop_ids),
+    }
 
 
-def _cmd_influence(args: argparse.Namespace) -> int:
-    network = load_network(args.network)
-    params = _params(args)
+def _knockouts(args: argparse.Namespace, network, params: ModelParams):
     threads = _resolve_threads(args.threads)
-    matrix = influence_matrix(network, params, tol=args.tol, max_iter=args.max_iter, threads=threads)
-    rows = [
-        [i, j, float(matrix.values[i, j])]
-        for i in range(network.size)
-        for j in range(network.size)
-    ]
-    _write_table(args.output, args.format, ["source", "target", "influence"], rows)
-    _write_sidecar(
-        args.output,
-        _meta(
-            args,
-            inputs={"network": args.network},
-            options={
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "gamma": params.gamma,
-                "tol": args.tol,
-                "max_iter": args.max_iter,
-            },
-        ),
-    )
-    return 0
+    return influence_matrix(network, params, tol=args.tol, max_iter=args.max_iter, threads=threads)
 
 
-def _cmd_category_influence(args: argparse.Namespace) -> int:
-    network = load_network(args.network)
-    params = _params(args)
-    threads = _resolve_threads(args.threads)
-    matrix = influence_matrix(network, params, tol=args.tol, max_iter=args.max_iter, threads=threads)
+def _influence(args: argparse.Namespace, network, params: ModelParams):
+    values = _knockouts(args, network, params).values
+    ids = range(network.size)
+    rows = [[i, j, float(values[i, j])] for i in ids for j in ids]
+    return ["source", "target", "influence"], rows, None
+
+
+def _category_influence(args: argparse.Namespace, network, params: ModelParams):
+    matrix = _knockouts(args, network, params)
     aggregated = category_influence(matrix, network)
-    rows = []
-    for a, cat_a in enumerate(aggregated.categories):
-        for b, cat_b in enumerate(aggregated.categories):
-            rows.append(
-                [
-                    cat_a.value,
-                    cat_b.value,
-                    float(aggregated.raw[a, b]),
-                    float(aggregated.normalized[a, b]),
-                ]
-            )
-    _write_table(
-        args.output, args.format, ["source_category", "target_category", "raw", "normalized"], rows
-    )
-    _write_sidecar(
-        args.output,
-        _meta(
-            args,
-            inputs={"network": args.network},
-            options={
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "gamma": params.gamma,
-                "tol": args.tol,
-                "max_iter": args.max_iter,
-            },
-            result={"categories": [cat.value for cat in aggregated.categories]},
-        ),
-    )
-    return 0
+    categories = list(enumerate(aggregated.categories))
+    rows = [
+        [cat_a.value, cat_b.value, float(aggregated.raw[a, b]), float(aggregated.normalized[a, b])]
+        for a, cat_a in categories
+        for b, cat_b in categories
+    ]
+    header = ["source_category", "target_category", "raw", "normalized"]
+    return header, rows, {"categories": [cat.value for cat in aggregated.categories]}
 
 
 def _add_output_args(sub: argparse.ArgumentParser) -> None:
@@ -443,7 +306,20 @@ def _add_solver_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-iter", type=int, default=100_000, help="fixed-point iteration cap")
 
 
-def _add_steady_args(sub: argparse.ArgumentParser) -> None:
+def _add_threads_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--threads", type=int, default=None,
+        help=f"worker threads (default: ${THREADS_ENV} or 1); results do not depend on this",
+    )
+
+
+def _add_run_args(sub: argparse.ArgumentParser, horizon_help: str | None = None) -> None:
+    sub.add_argument("--runs", type=int, default=1000)
+    sub.add_argument("--horizon", type=int, default=120, help=horizon_help)
+    sub.add_argument("--seed", type=int, default=0)
+
+
+def _steady_args(sub: argparse.ArgumentParser) -> None:
     _add_solver_args(sub)
     sub.add_argument(
         "--init", choices=[m.value for m in InitMode], default=InitMode.LIKELIHOODS.value,
@@ -452,11 +328,37 @@ def _add_steady_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--damping", type=float, default=1.0, help="update damping in (0, 1]")
 
 
-def _add_threads_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--threads", type=int, default=None,
-        help=f"worker threads (default: ${THREADS_ENV} or 1); results do not depend on this",
-    )
+def _simulate_args(sub: argparse.ArgumentParser) -> None:
+    _add_run_args(sub, horizon_help="number of recorded months")
+    sub.add_argument("--initial-state", choices=("dormant", "active"), default="dormant")
+    _add_threads_arg(sub)
+
+
+def _temporal_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--source", type=int, required=True)
+    _add_run_args(sub)
+    sub.add_argument("--baseline", choices=("dormant", "steady"), default="dormant")
+    _add_threads_arg(sub)
+
+
+def _knockout_args(sub: argparse.ArgumentParser) -> None:
+    _add_solver_args(sub)
+    _add_threads_arg(sub)
+
+
+# name -> (help, arguments between the model parameters and --output, compute)
+_TABLE_COMMANDS = {
+    "steady-state": ("mean-field activation probabilities", _steady_args, _steady_state),
+    "transitions": ("steady-state transition fractions per risk", _steady_args, _transitions),
+    "simulate": ("Monte Carlo activation frequencies", _simulate_args, _simulate),
+    "temporal-influence": (
+        "one-hop and two-hop influence curves of a source risk", _temporal_args, _temporal_influence
+    ),
+    "influence": ("pairwise knockout influence matrix", _knockout_args, _influence),
+    "category-influence": (
+        "category-level influence matrix, raw and normalized", _knockout_args, _category_influence
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,64 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     fit_cmd.add_argument("--output", required=True, help="path for the result JSON")
     fit_cmd.set_defaults(handler=_cmd_fit)
 
-    steady = commands.add_parser("steady-state", help="mean-field activation probabilities")
-    steady.add_argument("--network", required=True)
-    _add_param_args(steady)
-    _add_steady_args(steady)
-    _add_output_args(steady)
-    steady.set_defaults(handler=_cmd_steady_state)
-
-    transitions = commands.add_parser(
-        "transitions", help="steady-state transition fractions per risk"
-    )
-    transitions.add_argument("--network", required=True)
-    _add_param_args(transitions)
-    _add_steady_args(transitions)
-    _add_output_args(transitions)
-    transitions.set_defaults(handler=_cmd_transitions)
-
-    simulate_cmd = commands.add_parser("simulate", help="Monte Carlo activation frequencies")
-    simulate_cmd.add_argument("--network", required=True)
-    _add_param_args(simulate_cmd)
-    simulate_cmd.add_argument("--runs", type=int, default=1000)
-    simulate_cmd.add_argument("--horizon", type=int, default=120, help="number of recorded months")
-    simulate_cmd.add_argument("--seed", type=int, default=0)
-    simulate_cmd.add_argument("--initial-state", choices=("dormant", "active"), default="dormant")
-    _add_threads_arg(simulate_cmd)
-    _add_output_args(simulate_cmd)
-    simulate_cmd.set_defaults(handler=_cmd_simulate)
-
-    temporal = commands.add_parser(
-        "temporal-influence", help="one-hop and two-hop influence curves of a source risk"
-    )
-    temporal.add_argument("--network", required=True)
-    _add_param_args(temporal)
-    temporal.add_argument("--source", type=int, required=True)
-    temporal.add_argument("--runs", type=int, default=1000)
-    temporal.add_argument("--horizon", type=int, default=120)
-    temporal.add_argument("--seed", type=int, default=0)
-    temporal.add_argument("--baseline", choices=("dormant", "steady"), default="dormant")
-    _add_threads_arg(temporal)
-    _add_output_args(temporal)
-    temporal.set_defaults(handler=_cmd_temporal_influence)
-
-    influence = commands.add_parser("influence", help="pairwise knockout influence matrix")
-    influence.add_argument("--network", required=True)
-    _add_param_args(influence)
-    _add_solver_args(influence)
-    _add_threads_arg(influence)
-    _add_output_args(influence)
-    influence.set_defaults(handler=_cmd_influence)
-
-    category = commands.add_parser(
-        "category-influence", help="category-level influence matrix, raw and normalized"
-    )
-    category.add_argument("--network", required=True)
-    _add_param_args(category)
-    _add_solver_args(category)
-    _add_threads_arg(category)
-    _add_output_args(category)
-    category.set_defaults(handler=_cmd_category_influence)
+    for name, (help_text, add_args, compute) in _TABLE_COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        sub.add_argument("--network", required=True)
+        _add_param_args(sub)
+        add_args(sub)
+        _add_output_args(sub)
+        sub.set_defaults(handler=_cmd_table, compute=compute)
 
     return parser
 
@@ -566,18 +417,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except ValidationError as exc:
+    except (CarpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CarpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, ConvergenceError) else 1
 
 
 def main() -> None:

@@ -96,7 +96,7 @@ class NetworkState:
         bits = np.asarray(self.bits)
         if bits.ndim != 1 or bits.size == 0:
             raise ValidationError(f"state bits must be a non-empty vector, got shape {bits.shape}")
-        if not np.isin(bits, (0, 1)).all():
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValidationError("state bits must contain only 0 and 1")
         bits = np.ascontiguousarray(bits, dtype=np.int8)
         bits.setflags(write=False)

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -323,6 +324,149 @@ class TestExitCodes:
         assert "carpnet" in capsys.readouterr().out
 
 
+# Argument lists for tests that run inside their tmp_path, so files are named relative to it.
+def _table(command, *flags):
+    return [command, "--network", "net.json", *PARAM_FLAGS, *flags, "--output", "out"]
+
+
+MODEL_OPTIONS = {"alpha": 6e-3, "beta": 3e-3, "gamma": 2.5}
+TABLE_KEYS = {"tool", "version", "command", "inputs", "options", "result"}
+
+# command -> (argv, exact top-level keys, exact options, exact result keys or None)
+SIDECAR_CONTRACT = {
+    "generate": (
+        ["generate", "--nodes", "6", "--edges", "8", "--likelihood-range", "0.4", "0.9", *PARAM_FLAGS,
+         "--panel-length", "12", "--seed", "4", "--initial-state", "active", "--start-label", "2016-12",
+         "--network-out", "generated.json", "--panel-out", "out"],
+        {"tool", "version", "command", "inputs", "options", "outputs"},
+        {"nodes": 6, "edges": 8, "likelihood_range": [0.4, 0.9], **MODEL_OPTIONS, "panel_length": 12,
+         "seed": 4, "initial_state": "active"},
+        None,
+    ),
+    "fit": (
+        ["fit", "--network", "net.json", "--panel", "panel.csv", "--starts", "1", "--seed", "3",
+         "--max-iter", "1500", "--init-alpha", "0.02", "--init-beta", "0.005", "--init-gamma", "2.0",
+         "--threads", "2", "--output", "out"],
+        TABLE_KEYS,
+        {"starts": 1, "seed": 3, "max_iter": 1500, "init": {"alpha": 0.02, "beta": 0.005, "gamma": 2.0}},
+        {"alpha", "beta", "gamma", "log_likelihood", "iterations", "converged", "degenerate", "n_starts"},
+    ),
+    "steady-state": (
+        _table("steady-state", "--tol", "1e-12", "--max-iter", "5000", "--init", "zeros", "--damping", "0.8",
+               "--format", "json"),
+        TABLE_KEYS,
+        {**MODEL_OPTIONS, "tol": 1e-12, "max_iter": 5000, "init": "zeros", "damping": 0.8},
+        {"iterations", "residual", "stationarity_residual", "converged"},
+    ),
+    "transitions": (
+        _table("transitions", "--tol", "1e-11", "--max-iter", "4000", "--init", "ones", "--damping", "0.9"),
+        TABLE_KEYS,
+        {**MODEL_OPTIONS, "tol": 1e-11, "max_iter": 4000, "init": "ones", "damping": 0.9},
+        {"iterations", "residual", "mean_internal_share", "mean_ratio_exact", "mean_ratio_taylor"},
+    ),
+    "simulate": (
+        _table("simulate", "--runs", "20", "--horizon", "5", "--seed", "9", "--initial-state", "active",
+               "--threads", "2", "--format", "json"),
+        TABLE_KEYS,
+        {**MODEL_OPTIONS, "runs": 20, "horizon": 5, "seed": 9, "initial_state": "active"},
+        {"meanfield_row"},
+    ),
+    "temporal-influence": (
+        _table("temporal-influence", "--source", "1", "--runs", "10", "--horizon", "4", "--seed", "2",
+               "--baseline", "steady", "--threads", "2"),
+        TABLE_KEYS,
+        {**MODEL_OPTIONS, "source": 1, "runs": 10, "horizon": 4, "seed": 2, "baseline": "steady"},
+        {"one_hop_ids", "two_hop_ids"},
+    ),
+    "influence": (
+        _table("influence", "--tol", "1e-9", "--max-iter", "3000", "--threads", "2"),
+        TABLE_KEYS - {"result"},
+        {**MODEL_OPTIONS, "tol": 1e-9, "max_iter": 3000},
+        None,
+    ),
+    "category-influence": (
+        _table("category-influence", "--tol", "1e-9", "--max-iter", "3000", "--threads", "2", "--format", "json"),
+        TABLE_KEYS,
+        {**MODEL_OPTIONS, "tol": 1e-9, "max_iter": 3000},
+        {"categories"},
+    ),
+}
+
+
+class TestSidecarContract:
+    @pytest.mark.parametrize("command", SIDECAR_CONTRACT)
+    def test_keys_and_options(self, tmp_path, monkeypatch, command):
+        argv, top_keys, options, result_keys = SIDECAR_CONTRACT[command]
+        _generate(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 0
+        meta = json.loads(Path("out" if command == "fit" else "out.meta.json").read_text())
+        assert set(meta) == top_keys
+        assert (meta["tool"], meta["command"]) == ("carpnet", command)
+        assert meta["options"] == options
+        if result_keys is not None:
+            assert set(meta["result"]) == result_keys
+        assert set(meta["inputs"]) == {"generate": set(), "fit": {"network", "panel"}}.get(command, {"network"})
+        if command == "generate":
+            assert meta["outputs"] == {"network": "generated.json", "panel": "out"}
+
+
+def _bad_argv(command, flags):
+    """A valid call of ``command`` with ``flags`` appended; a repeated flag's last value wins."""
+    if command == "fit":
+        base = ["fit", "--network", "net.json", "--panel", "panel.csv", "--starts", "0", "--max-iter", "50",
+                "--output", "out"]
+    elif command == "generate":
+        base = ["generate", "--nodes", "4", "--edges", "3", *PARAM_FLAGS, "--panel-length", "3",
+                "--network-out", "out.json", "--panel-out", "out"]
+    elif command == "temporal-influence":
+        base = _table(command, "--source", "0")
+    else:
+        base = _table(command)
+    return base + list(flags)
+
+
+# (command, appended flags, environment): each must exit 1 with an error line
+BAD_FLAGS = [
+    *[(c, ("--damping", v), {}) for c in ("steady-state", "transitions") for v in ("0", "2", "nan")],
+    *[(c, ("--tol", v), {}) for c in ("steady-state", "influence") for v in ("-1", "nan", "0")],
+    *[(c, ("--max-iter", "0"), {}) for c in ("steady-state", "influence")],
+    *[(c, ("--alpha", v), {}) for c in ("steady-state", "simulate") for v in ("nan", "inf")],
+    *[(c, flags, {}) for c in ("simulate", "temporal-influence")
+      for flags in (("--runs", "0"), ("--horizon", "0"), ("--seed", "-1"))],
+    *[(c, ("--threads", "0"), {}) for c in ("simulate", "influence", "category-influence", "fit")],
+    *[(c, (), {"CARPNET_THREADS": v}) for c in ("simulate", "influence", "fit") for v in ("0", "abc")],
+    *[("temporal-influence", ("--source", v), {}) for v in ("-1", "99")],
+    ("fit", ("--starts", "-1"), {}),
+    *[("fit", ("--init-alpha", v), {}) for v in ("0", "nan")],
+    ("generate", ("--nodes", "0"), {}),
+    ("generate", ("--edges", "-1"), {}),
+    ("generate", ("--panel-length", "0"), {}),
+    ("generate", ("--likelihood-range", "0.9", "0.1"), {}),
+    ("generate", ("--likelihood-range", "0", "1"), {}),
+    ("generate", ("--start-label", "bogus"), {}),
+    *[(c, ("--output", "missing/out"), {}) for c in ("steady-state", "simulate", "influence", "fit")],
+    ("generate", ("--panel-out", "missing/out"), {}),
+]
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize(
+        "command, flags, env", BAD_FLAGS,
+        ids=[" ".join([c, *flags, *(f"{k}={v}" for k, v in env.items())]) for c, flags, env in BAD_FLAGS],
+    )
+    def test_exits_1_with_an_error_line(self, tmp_path, capsys, monkeypatch, command, flags, env):
+        _generate(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CARPNET_THREADS", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert run(_bad_argv(command, flags)) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: ", err, re.MULTILINE)
+        assert "Traceback" not in err
+
+
 def _risk(risk_id=0, **fields):
     entry = {"id": risk_id, "name": f"r{risk_id}", "category": "Economic", "likelihood": 0.5}
     entry.update(fields)
@@ -405,7 +549,34 @@ def _readme_network_json() -> str:
     return match.group(1)
 
 
+def _readme_cli_commands() -> list[list[str]]:
+    """The ``carpnet`` calls of the README's "Command line" block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.DOTALL)
+    assert match, "README has no Command line sh block"
+    lines = [line.strip() for line in match.group(1).replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line) for line in lines if line and not line.startswith("#")]
+    assert all(argv[0] == "carpnet" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+OUTPUT_FLAGS = ("--output", "--network-out", "--panel-out")
+
+
 class TestReadmeExamples:
+    def test_command_line_block_runs_verbatim(self, tmp_path, monkeypatch):
+        commands = _readme_cli_commands()
+        assert [argv[0] for argv in commands] == [
+            "generate", "fit", "steady-state", "transitions", "simulate", "temporal-influence", "influence",
+            "category-influence",
+        ]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CARPNET_THREADS", raising=False)
+        for argv in commands:
+            assert run(argv) == 0, argv
+            outputs = [argv[i + 1] for i, flag in enumerate(argv) if flag in OUTPUT_FLAGS]
+            assert outputs and all(Path(path).stat().st_size > 0 for path in outputs), argv
+
     def test_network_json_example_loads_and_solves(self, tmp_path):
         network = tmp_path / "net.json"
         network.write_text(_readme_network_json(), encoding="utf-8")

@@ -113,9 +113,16 @@ class TestProbActivate:
 
 
 class TestNetworkState:
-    def test_rejects_non_binary_bits(self):
+    @pytest.mark.parametrize("bad", [2, 0.5, np.nan, -1])
+    def test_rejects_non_binary_bits(self, bad):
         with pytest.raises(ValidationError):
-            NetworkState(np.array([0, 2]))
+            NetworkState(np.array([0, bad]))
+
+    @pytest.mark.parametrize("one", [1.0, True])
+    def test_accepts_binary_values_of_any_dtype(self, one):
+        state = NetworkState(np.array([0, one]))
+        assert state.bits.dtype == np.int8
+        assert state.bits.tolist() == [0, 1]
 
     def test_constructors(self):
         assert NetworkState.dormant(3).n_active == 0
