@@ -15,6 +15,9 @@ format and the thread count (``fit`` nests its starting point under
 atomic, no output carries a timestamp, and rerunning a command with the same
 inputs produces bit-identical files for any ``--threads`` setting.
 
+Warnings raised while a command runs are printed as one ``warning:`` line
+each on stderr.
+
 Exit codes: 0 success, 1 validation or file errors, 2 usage errors,
 3 non-convergence.
 """
@@ -27,6 +30,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from typing import Sequence
 
 from . import __version__
@@ -408,6 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     parser = build_parser()
@@ -415,11 +423,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage or version
         return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.handler(args)
-    except (CarpError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, ConvergenceError) else 1
+    with warnings.catch_warnings():  # restores the caller's warning display on exit
+        warnings.showwarning = _print_warning
+        try:
+            return args.handler(args)
+        except (CarpError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3 if isinstance(exc, ConvergenceError) else 1
 
 
 def main() -> None:

@@ -45,18 +45,20 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import networkx as nx
 import numpy as np
-from scipy import sparse
 
 from .errors import ValidationError
 from .utils import atomic_write_text
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 DEFAULT_EPSILON = 0.01
 
 _MONTH_LABEL = re.compile(r"\d{4}-(0[1-9]|1[0-2])")
+_BITS = frozenset(("0", "1"))  # the only panel cells
 
 
 class Category(Enum):
@@ -272,7 +274,11 @@ class RiskNetwork:
 
         Its product with 0/1 state bits counts active neighbors exactly at
         any degree, where the int8 ``adjacency_matrix`` would wrap past 127.
+        scipy.sparse is imported here, on first use, so importing carpnet
+        does not load it.
         """
+        from scipy import sparse
+
         pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         rows = np.concatenate((pairs[:, 0], pairs[:, 1]))
         cols = np.concatenate((pairs[:, 1], pairs[:, 0]))
@@ -293,23 +299,31 @@ class RiskNetwork:
             raise ValidationError(f"risk id {risk_id} outside 0..{self.size - 1}")
         return self.adjacency[risk_id]
 
-    def to_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.size))
-        graph.add_edges_from(self.edges)
-        return graph
-
     @cached_property
     def average_clustering(self) -> float:
-        return float(nx.average_clustering(self.to_graph()))
+        """Mean local clustering; a risk with fewer than two neighbors counts as 0."""
+        a = self.adjacency_csr
+        closed = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()  # 2 × triangles at each risk
+        pairs = self.degrees * (self.degrees - 1)
+        local = np.divide(closed, pairs, out=np.zeros(self.size), where=pairs > 0)
+        return float(local.mean())
 
     @cached_property
     def diameter(self) -> float:
-        """Longest shortest path; ``inf`` when the graph is disconnected."""
-        graph = self.to_graph()
-        if not nx.is_connected(graph):
-            return math.inf
-        return float(nx.diameter(graph))
+        """Longest shortest path; ``inf`` when the graph is disconnected.
+
+        Breadth-first searches run from blocks of sources, so at most
+        ``2**20`` distances are held at once.
+        """
+        from scipy.sparse.csgraph import shortest_path
+
+        block = max(1, 2**20 // self.size)
+        longest = 0.0
+        for first in range(0, self.size, block):
+            sources = np.arange(first, min(first + block, self.size))
+            distances = shortest_path(self.adjacency_csr, unweighted=True, indices=sources)
+            longest = max(longest, float(distances.max()))
+        return longest
 
     def with_normalized_likelihood(self, risk_id: int, value: float) -> "RiskNetwork":
         """Copy of the network with one risk's normalized likelihood replaced."""
@@ -489,16 +503,14 @@ def load_panel(path: str | Path) -> EventPanel:
         raise ValidationError(f"{path}: panel needs a header row and at least one risk row")
     header, body = rows[0], rows[1:]
     width = len(header)
-    states = np.empty((len(body), width), dtype=np.int8)
-    for r, row in enumerate(body):
+    for r, row in enumerate(body):  # rows in file order, so the first bad row or cell is reported
         if len(row) != width:
             raise ValidationError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
-        for t, cell in enumerate(row):
-            if cell == "0":
-                states[r, t] = 0
-            elif cell == "1":
-                states[r, t] = 1
-            else:
-                raise ValidationError(f"{path}: cell ({r}, {t}) must be 0 or 1, got {cell!r}")
+        if not _BITS.issuperset(row):
+            t, cell = next((t, cell) for t, cell in enumerate(row) if cell not in _BITS)
+            raise ValidationError(f"{path}: cell ({r}, {t}) must be 0 or 1, got {cell!r}")
+    # every cell is now one character, "0" or "1"
+    digits = np.frombuffer("".join(map("".join, body)).encode("ascii"), dtype=np.int8)
+    states = (digits - ord("0")).reshape(len(body), width)
     start = header[0] if _MONTH_LABEL.fullmatch(header[0]) else None
     return EventPanel(states, start_label=start)

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .domain import EventPanel, ModelParams, RiskNetwork
 from .dynamics import philox_stream
@@ -188,6 +187,8 @@ def fit(
     the search boundary, which is reported through ``degenerate`` rather than
     an exception. ``converged`` reflects the winning start only.
     """
+    from scipy.optimize import minimize  # here, so only the fit pays for loading the optimizer
+
     stats = PanelStats(panel, network)
     if init is None:
         init = ModelParams(0.01, 0.01, 1.0)

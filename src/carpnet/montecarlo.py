@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from .domain import EventPanel, ModelParams, RiskNetwork
@@ -208,10 +207,9 @@ class TemporalInfluence:
 
 
 def _distance_layers(network: RiskNetwork, source: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    distances = nx.single_source_shortest_path_length(network.to_graph(), source, cutoff=2)
-    one = tuple(sorted(n for n, d in distances.items() if d == 1))
-    two = tuple(sorted(n for n, d in distances.items() if d == 2))
-    return one, two
+    one = network.adjacency[source]
+    two = {n for j in one for n in network.adjacency[j]}.difference(one, (source,))
+    return one, tuple(sorted(two))
 
 
 def temporal_influence(

@@ -7,7 +7,10 @@ route to the same quantities the mean-field code approximates.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
+from hypothesis import strategies as st
 
 from carpnet import CATEGORIES, ModelParams, Risk, RiskNetwork
 
@@ -127,3 +130,31 @@ def count_based_log_likelihood(panel, network, params: ModelParams) -> float:
                 con_prob = 1.0 - survival ** params.gamma
                 total += np.log(con_prob) if states[i, t + 1] == 1 else np.log(1.0 - con_prob)
     return float(total)
+
+
+@st.composite
+def small_graphs(draw, max_size: int = 40):
+    """A risk count of 1..max_size and a simple edge list over it, any density."""
+    size = draw(st.integers(min_value=1, max_value=max_size))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    if not pairs:
+        return size, []
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=min(len(pairs), 150)))
+    return size, edges
+
+
+def bfs_distances(size: int, edges, source: int) -> dict[int, int]:
+    """Hop distance from ``source`` to every risk it reaches, by plain breadth-first search."""
+    neighbors: list[list[int]] = [[] for _ in range(size)]
+    for i, j in edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    distances = {source: 0}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for other in neighbors[node]:
+            if other not in distances:
+                distances[other] = distances[node] + 1
+                queue.append(other)
+    return distances

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from carpnet import load_network, load_panel
+from carpnet import ValidationError, load_network, load_panel, save_network
 from carpnet.cli import run
+from tests.helpers import make_network
 
 
 def _generate(tmp_path, seed=11, nodes=10, edges=20, panel_length=40):
@@ -528,6 +530,7 @@ BAD_PANELS = {
     "cell-2": _panel_csv(GOOD_ROWS[:9] + ["0,2,1"]),
     "row-count-differs": _panel_csv(GOOD_ROWS[:9]),
     "field-over-csv-limit": _panel_csv(["0" * 200_000]),
+    "bad-cell-before-ragged-row": _panel_csv(GOOD_ROWS[:1] + ["0,x,1", "0,1,1", "0,1"] + GOOD_ROWS[:6]),
 }
 
 
@@ -540,6 +543,15 @@ class TestMalformedPanelFiles:
         code = run(["fit", "--network", str(network), "--panel", str(path), "--output", str(tmp_path / "fit.json")])
         assert code == 1
         assert re.search(r"^error: ", capsys.readouterr().err, re.MULTILINE)
+
+    def test_first_error_in_file_order_is_reported(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(BAD_PANELS["bad-cell-before-ragged-row"])
+        with pytest.raises(ValidationError, match=r"cell \(1, 1\) must be 0 or 1, got 'x'$"):
+            load_panel(path)
+        path.write_bytes(_panel_csv(["0,1,1", "0,1", "0,x,1"]))
+        with pytest.raises(ValidationError, match=r"row 2 has 2 cells, expected 3$"):
+            load_panel(path)
 
 
 def _readme_network_json() -> str:
@@ -584,6 +596,60 @@ class TestReadmeExamples:
         assert run(["steady-state", "--network", str(network), *PARAM_FLAGS, "--output", str(out)]) == 0
         _, rows = _read_csv(out)
         assert [row[1] for row in rows] == ["Fiscal crises", "Extreme weather"]
+
+
+class TestWarningLines:
+    def test_singleton_category_warning_is_one_plain_line(self, tmp_path, capsys):
+        network, _ = _generate(tmp_path, seed=3, nodes=9, edges=14)
+        capsys.readouterr()
+        out = tmp_path / "cats.csv"
+        assert run(["category-influence", "--network", str(network), *PARAM_FLAGS, "--output", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: category Technological has a single risk, self-influence reported as 0\n"
+        )
+        header, rows = _read_csv(out)
+        assert header == ["source_category", "target_category", "raw", "normalized"]
+        assert len(rows) == 25
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert meta["result"]["categories"] == [
+            "Economic", "Environmental", "Geopolitical", "Societal", "Technological"
+        ]
+
+    def test_missing_two_hop_warning_is_one_plain_line(self, tmp_path, capsys):
+        network = tmp_path / "star.json"
+        save_network(make_network([0.5] * 4, [(0, 1), (0, 2), (0, 3)]), network)
+        out = tmp_path / "temporal.csv"
+        argv = ["temporal-influence", "--network", str(network), *PARAM_FLAGS, "--source", "0",
+                "--runs", "4", "--horizon", "3", "--output", str(out)]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == "warning: risk 0 has no distance-2 neighborhood, two-hop curve omitted\n"
+        assert _read_csv(out)[1][0] == ["0", "0.0", ""]
+
+
+HEAVY_MODULES = ("networkx", "scipy.optimize", "scipy.sparse")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _loaded_heavy_modules(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter on ``src`` and list the heavy modules it loaded."""
+    probe = f"{code}\nimport sys\nprint(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    return result.stdout.split()
+
+
+class TestImportFootprint:
+    def test_importing_the_package_and_cli_loads_no_heavy_module(self):
+        assert _loaded_heavy_modules("import carpnet\nimport carpnet.cli") == []
+
+    @pytest.mark.parametrize("command", ["steady-state", "influence"])
+    def test_mean_field_commands_load_no_optimizer_or_sparse_module(self, tmp_path, command):
+        network, _ = _generate(tmp_path, nodes=6, edges=8)
+        argv = [command, "--network", str(network), *PARAM_FLAGS, "--output", str(tmp_path / "out.csv")]
+        loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
+        assert loaded == []
 
 
 class TestConsoleEntryPoint:

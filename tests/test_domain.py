@@ -1,11 +1,12 @@
 """Data model: normalization, network validation, file round trips, panels."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from carpnet import (
     Category,
@@ -21,7 +22,7 @@ from carpnet import (
     save_network,
     save_panel,
 )
-from tests.helpers import make_network
+from tests.helpers import bfs_distances, make_network, small_graphs
 
 positive_raws = st.lists(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False), min_size=1, max_size=30
@@ -171,6 +172,60 @@ class TestRiskNetwork:
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValidationError):
                 Risk(0, "a", Category.ECONOMIC, 0.5, bad)
+
+
+def brute_force_clustering(size: int, edges) -> float:
+    """Mean over risks of the share of neighbor pairs that are linked, by enumeration."""
+    linked = {frozenset(edge) for edge in edges}
+    total = 0.0
+    for v in range(size):
+        neighbors = [u for u in range(size) if frozenset((u, v)) in linked]
+        pairs = list(itertools.combinations(neighbors, 2))
+        if pairs:  # fewer than two neighbors counts as 0
+            total += sum(frozenset(pair) in linked for pair in pairs) / len(pairs)
+    return total / size
+
+
+def bfs_diameter(size: int, edges) -> float:
+    longest = 0
+    for source in range(size):
+        distances = bfs_distances(size, edges, source)
+        if len(distances) < size:
+            return math.inf
+        longest = max(longest, max(distances.values()))
+    return longest
+
+
+STAR = [(0, leaf) for leaf in range(1, 6)]
+GRAPHS = {  # name -> (size, edges, average clustering, diameter)
+    "single-risk": (1, [], 0.0, 0),
+    "isolated-risks": (3, [], 0.0, math.inf),
+    "one-edge": (2, [(0, 1)], 0.0, 1),
+    "path-degree-1-ends": (4, [(0, 1), (1, 2), (2, 3)], 0.0, 3),
+    "triangle-plus-isolated-edge": (5, [(0, 1), (0, 2), (1, 2), (3, 4)], 0.6, math.inf),
+    "triangle-plus-isolated-risk": (4, [(0, 1), (0, 2), (1, 2)], 0.75, math.inf),
+    "star": (6, STAR, 0.0, 2),
+    "star-with-linked-leaves": (6, STAR + [(1, 2)], (0.1 + 1 + 1) / 6, 2),
+    "complete-4": (4, list(itertools.combinations(range(4), 2)), 1.0, 1),
+}
+
+
+class TestGraphStatistics:
+    @pytest.mark.parametrize("size, edges, clustering, diameter", GRAPHS.values(), ids=GRAPHS.keys())
+    def test_named_graphs(self, size, edges, clustering, diameter):
+        net = make_network([0.5] * size, edges)
+        assert brute_force_clustering(size, edges) == pytest.approx(clustering, rel=1e-12, abs=1e-15)
+        assert bfs_diameter(size, edges) == diameter
+        assert net.average_clustering == pytest.approx(clustering, rel=1e-12, abs=1e-15)
+        assert net.diameter == diameter
+
+    @settings(deadline=None)
+    @given(small_graphs())
+    def test_match_brute_force_on_random_graphs(self, graph):
+        size, edges = graph
+        net = make_network([0.5] * size, edges)
+        assert net.average_clustering == pytest.approx(brute_force_clustering(size, edges), rel=1e-12, abs=1e-15)
+        assert net.diameter == bfs_diameter(size, edges)
 
 
 class TestNetworkFiles:

@@ -1,7 +1,10 @@
 """Monte Carlo ensembles: determinism, coupling properties, temporal influence."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carpnet import (
     ModelParams,
@@ -16,7 +19,7 @@ from carpnet import (
     temporal_influence,
 )
 from carpnet import montecarlo
-from tests.helpers import PARAMS_FAST, make_network, random_network
+from tests.helpers import PARAMS_FAST, bfs_distances, make_network, random_network, small_graphs
 
 
 def small_network():
@@ -114,6 +117,45 @@ class TestSimulate:
             simulate(net, PARAMS_FAST, SimulationConfig(initial_state="everything"))
         with pytest.raises(ValidationError):
             simulate(net, PARAMS_FAST, SimulationConfig(initial_state=[1, 0]))
+
+
+def bfs_layers(size: int, edges, source: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    distances = bfs_distances(size, edges, source)
+    one, two = (tuple(sorted(n for n, d in distances.items() if d == hop)) for hop in (1, 2))
+    return one, two
+
+
+def layer_ids(size: int, edges, source: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    net = make_network([0.5] * size, edges)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty two-hop layer warns
+        result = temporal_influence(net, PARAMS_FAST, source, SimulationConfig(runs=1, horizon=1))
+    return result.one_hop_ids, result.two_hop_ids
+
+
+STAR = [(0, leaf) for leaf in range(1, 6)]
+LAYER_CASES = {  # name -> (size, edges, source, one-hop ids, two-hop ids)
+    "isolated-source": (4, [(1, 2), (2, 3)], 0, (), ()),
+    "degree-1-source": (4, [(0, 1), (1, 2), (2, 3)], 0, (1,), (2,)),
+    "star-center": (6, STAR, 0, (1, 2, 3, 4, 5), ()),
+    "star-leaf": (6, STAR, 3, (0,), (1, 2, 4, 5)),
+    "disconnected": (7, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 6)], 1, (0, 2), (3,)),
+    "triangle-is-not-two-hop": (3, [(0, 1), (1, 2), (0, 2)], 0, (1, 2), ()),
+}
+
+
+class TestDistanceLayers:
+    @pytest.mark.parametrize("size, edges, source, one, two", LAYER_CASES.values(), ids=LAYER_CASES.keys())
+    def test_named_graphs(self, size, edges, source, one, two):
+        assert bfs_layers(size, edges, source) == (one, two)
+        assert layer_ids(size, edges, source) == (one, two)
+
+    @settings(deadline=None)
+    @given(st.data(), small_graphs())
+    def test_match_breadth_first_search_on_random_graphs(self, data, graph):
+        size, edges = graph
+        source = data.draw(st.integers(min_value=0, max_value=size - 1))
+        assert layer_ids(size, edges, source) == bfs_layers(size, edges, source)
 
 
 class TestTemporalInfluence:
