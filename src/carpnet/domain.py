@@ -486,10 +486,11 @@ class EventPanel:
 
 def save_panel(panel: EventPanel, path: str | Path) -> None:
     """Write a panel as CSV: header of time labels, one row of 0/1 per risk."""
-    lines = [",".join(panel.labels)]
-    for row in panel.states:
-        lines.append(",".join(str(int(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    states = panel.states
+    text = np.full((states.shape[0], 2 * states.shape[1]), ord(","), dtype=np.uint8)
+    text[:, 0::2] = states + ord("0")  # "d,d,...,d\n": each row's last comma becomes the newline
+    text[:, -1] = ord("\n")
+    atomic_write_text(path, ",".join(panel.labels) + "\n" + text.tobytes().decode("ascii"))
 
 
 def load_panel(path: str | Path) -> EventPanel:

@@ -12,13 +12,16 @@ and the parameters. Writing ``y_i = log(1 - L_i)``, the four cases are
 so the panel log-likelihood collapses onto sufficient statistics: counts of
 dormant transitions per (risk, k) cell and of active transitions per risk.
 :class:`PanelStats` builds those tables in one pass over the panel; each
-likelihood or gradient evaluation is then a small vectorized reduction whose
-cost is independent of the panel length.
+likelihood or gradient evaluation then reduces over the nonzero cells only,
+at a cost independent of the panel length.
 
 Fitting maximizes the log-likelihood over ``(ln alpha, ln beta, ln gamma)``
-with Nelder-Mead restarted from several random points drawn log-uniformly
-from a wide box. Positivity is structural in log space, and the multi-start
-guards against the near-flat region where alpha and beta are both tiny. The
+with L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput., 1995) driven
+by the exact gradient, restarted from several random points drawn
+log-uniformly from a wide box. The log-parameters are clipped to
+``[-700, 700]``, where exp stays finite; past the clip the objective is flat
+and its gradient zero. Positivity is structural in log space, and the multi-start guards
+against the near-flat region where alpha and beta are both tiny. The
 supplied initial guess is always included as the first start, so the fitted
 log-likelihood can never fall below the initial one.
 """
@@ -33,13 +36,22 @@ import numpy as np
 from .domain import EventPanel, ModelParams, RiskNetwork
 from .dynamics import philox_stream
 from .errors import ValidationError
-from .utils import ordered_map
 
-_LOG_LIMIT = 700.0  # exp overflows past this, clamp Nelder-Mead excursions
+_LOG_LIMIT = 700.0  # exp overflows past this, clip log-parameters to +-700
+_FTOL = 1e-12  # L-BFGS-B relative decrease of the objective at which a start stops
+_GTOL = 1e-8  # L-BFGS-B projected-gradient size at which a start stops
 
 
 class PanelStats:
-    """Sufficient statistics of one panel for repeated likelihood evaluation."""
+    """Sufficient statistics of one panel for repeated likelihood evaluation.
+
+    ``c01``/``c00`` count dormant->active and dormant->dormant transitions per
+    (risk, active-neighbor count) cell, ``n11``/``n10`` active->active and
+    active->dormant transitions per risk. Evaluations read only compact forms
+    of them: the dormant-stay weights ``w00 = c00.T @ y`` per count, the
+    nonzero ``c01`` cells as flat arrays, the recovery sum ``n10 @ y`` and the
+    risks with ``n11 > 0``, so each costs O(nonzero cells), not O(R K).
+    """
 
     def __init__(self, panel: EventPanel, network: RiskNetwork) -> None:
         if panel.n_risks != network.size:
@@ -50,66 +62,67 @@ class PanelStats:
             raise ValidationError("likelihood evaluation needs a panel with at least 2 months")
         states = panel.states
         old, new = states[:, :-1], states[:, 1:]
-        counts = network.adjacency_csr @ old  # active neighbors at the earlier month, exact
-        kmax = int(network.degrees.max(initial=0))
         size = network.size
-        c01 = np.zeros((size, kmax + 1), dtype=np.int64)
-        c00 = np.zeros((size, kmax + 1), dtype=np.int64)
-        mask01 = (old == 0) & (new == 1)
-        mask00 = (old == 0) & (new == 0)
-        for i in range(size):
-            c01[i] = np.bincount(counts[i][mask01[i]], minlength=kmax + 1)
-            c00[i] = np.bincount(counts[i][mask00[i]], minlength=kmax + 1)
-        self.c01 = c01
-        self.c00 = c00
+        width = int(network.degrees.max(initial=0)) + 1
+        # flat (risk, k) index, k = active neighbors at the earlier month, counted exactly; int32
+        # holds any index of a table that fits in memory, and halves the traffic of int64
+        cell = (network.adjacency_csr.astype(np.int32) @ states)[:, :-1]
+        cell += np.arange(0, size * width, width, dtype=np.int32)[:, None]
+        dormant = old == 0
+        self.c01 = np.bincount(cell[dormant & (new == 1)], minlength=size * width).reshape(size, width)
+        self.c00 = np.bincount(cell[dormant & (new == 0)], minlength=size * width).reshape(size, width)
         self.n11 = ((old == 1) & (new == 1)).sum(axis=1)
         self.n10 = ((old == 1) & (new == 0)).sum(axis=1)
-        self.k_values = np.arange(kmax + 1, dtype=np.float64)
-        self.log_survival = np.log1p(-network.likelihoods)  # y_i, strictly negative
+        self.k_values = np.arange(width, dtype=np.float64)
+        y = np.log1p(-network.likelihoods)  # strictly negative
+        self.log_survival = y
         self.n_transitions = int(size * (panel.n_steps - 1))
 
+        self._w00 = self.c00.T @ y  # dormant-stay log-prob is w00 @ (alpha + beta k)
+        risk01, k01 = np.nonzero(self.c01)
+        self._n01 = self.c01[risk01, k01].astype(np.float64)
+        self._y01 = y[risk01]
+        self._k01 = k01.astype(np.float64)
+        self._n10y = float(self.n10 @ y)
+        stay = self.n11 > 0
+        self._n11 = self.n11[stay].astype(np.float64)
+        self._y11 = y[stay]
+
     def log_likelihood(self, params: ModelParams) -> float:
-        y = self.log_survival
-        exponents = params.alpha + params.beta * self.k_values  # (K,)
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            u = np.outer(y, exponents)  # (R, K), all entries <= 0
-            total = float((self.c00 * u).sum())
-            hit = self.c01 > 0
-            if hit.any():
-                total += float((self.c01[hit] * np.log(-np.expm1(u[hit]))).sum())
-            ug = params.gamma * y
-            total += float((self.n10 * ug).sum())
-            stay = self.n11 > 0
-            if stay.any():
-                total += float((self.n11[stay] * np.log(-np.expm1(ug[stay]))).sum())
-        return total
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            u01 = self._y01 * (params.alpha + params.beta * self._k01)
+            u11 = params.gamma * self._y11
+            return float(
+                self._w00 @ (params.alpha + params.beta * self.k_values)
+                + self._n01 @ np.log(-np.expm1(u01))
+                + params.gamma * self._n10y
+                + self._n11 @ np.log(-np.expm1(u11))
+            )
 
     def gradient(self, params: ModelParams) -> np.ndarray:
         """Gradient of the log-likelihood with respect to (ln a, ln b, ln g).
 
-        Uses ``d/de log(1 - exp(e y)) = -y exp(e y) / (1 - exp(e y))`` and the
-        chain rule through the log reparameterization.
+        With ``u = e y`` and ``e = alpha + beta k``, the chain rule gives
+        ``d log(1 - exp(u)) / d ln alpha = -f(u) alpha / e`` (``beta k / e``
+        for ln beta), where ``f(u) = u exp(u) / -expm1(u)`` lies in [-1, 0).
+        Every factor is bounded, so each component is finite wherever
+        :meth:`log_likelihood` is.
         """
-        y = self.log_survival
-        exponents = params.alpha + params.beta * self.k_values
-        u = np.outer(y, exponents)
-        with np.errstate(over="ignore", under="ignore"):
-            p01 = -np.expm1(u)  # (R, K)
-            ratio = np.zeros_like(u)
-            hit = self.c01 > 0
-            ratio[hit] = -(1.0 - p01[hit]) / p01[hit]
-            d_act = self.c00 * y[:, None] + self.c01 * ratio * y[:, None]
-            d_alpha = float(d_act.sum())
-            d_beta = float((d_act * self.k_values).sum())
-            ug = params.gamma * y
-            pcon = -np.expm1(ug)
-            ratio_g = np.zeros_like(y)
-            stay = self.n11 > 0
-            ratio_g[stay] = -(1.0 - pcon[stay]) / pcon[stay]
-            d_gamma = float((self.n10 * y + self.n11 * ratio_g * y).sum())
-        return np.array(
-            [d_alpha * params.alpha, d_beta * params.beta, d_gamma * params.gamma]
-        )
+        alpha, beta, gamma = params.as_tuple()
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            e01 = alpha + beta * self._k01
+            # at a hub's large k, u can overflow to -inf, where f's limit is 0; clipping u far
+            # below exp's range gives exactly that and leaves every finite u's f unchanged
+            f01 = _bounded_slope(np.maximum(self._y01 * e01, -1e3))
+            d_alpha = alpha * self._w00.sum() - self._n01 @ (f01 * (alpha / e01))
+            d_beta = beta * (self._w00 @ self.k_values) - self._n01 @ (f01 * (beta * self._k01 / e01))
+            d_gamma = gamma * self._n10y - self._n11 @ _bounded_slope(gamma * self._y11)
+        return np.array([d_alpha, d_beta, d_gamma], dtype=np.float64)
+
+
+def _bounded_slope(u: np.ndarray) -> np.ndarray:
+    """``u exp(u) / (1 - exp(u))`` for u < 0, which lies in [-1, 0)."""
+    return u * np.exp(u) / -np.expm1(u)
 
 
 def log_likelihood(panel: EventPanel, network: RiskNetwork, params: ModelParams) -> float:
@@ -135,17 +148,18 @@ def log_likelihood_gradient(
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the multi-start Nelder-Mead fit."""
+    """Knobs for the multi-start L-BFGS-B fit.
+
+    ``threads`` is validated but changes nothing: the starts run in order,
+    one after the other.
+    """
 
     starts: int = 5
     seed: int = 0
     max_iter: int = 2000
-    fun_tol: float = 1e-9
-    step_tol: float = 1e-8
     start_low: float = 1e-5
     start_high: float = 10.0
     threads: int = 1
-    keep_trace: bool = False
 
     def __post_init__(self) -> None:
         if self.starts < 0:
@@ -154,8 +168,8 @@ class FitConfig:
             raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
         if not (0.0 < self.start_low < self.start_high):
             raise ValidationError("start range must satisfy 0 < low < high")
-        if not (self.fun_tol > 0.0 and self.step_tol > 0.0):
-            raise ValidationError("tolerances must be positive")
+        if self.threads < 1:
+            raise ValidationError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -168,7 +182,10 @@ class FitResult:
     converged: bool
     degenerate: bool
     n_starts: int
-    trace: tuple[tuple[ModelParams, float], ...] | None = None
+
+
+def _params_at(theta: np.ndarray) -> ModelParams:
+    return ModelParams(*np.exp(np.clip(theta, -_LOG_LIMIT, _LOG_LIMIT)))
 
 
 def fit(
@@ -179,13 +196,15 @@ def fit(
 ) -> FitResult:
     """Maximum-likelihood estimate of (alpha, beta, gamma) from a panel.
 
-    Runs Nelder-Mead in log-parameter space from ``init`` (default
-    ``ModelParams(0.01, 0.01, 1.0)``) plus ``config.starts`` random starts
-    drawn log-uniformly from ``[start_low, start_high]`` per component, and
-    keeps the best final value; ties go to the earliest start. A panel that
-    never leaves the all-dormant or all-active state pins some parameters to
-    the search boundary, which is reported through ``degenerate`` rather than
-    an exception. ``converged`` reflects the winning start only.
+    Runs L-BFGS-B with the exact gradient in log-parameter space from
+    ``init`` (default ``ModelParams(0.01, 0.01, 1.0)``) plus ``config.starts``
+    random starts drawn log-uniformly from ``[start_low, start_high]`` per
+    component, one after the other, and keeps the best final value; ties go
+    to the earliest start. ``iterations`` counts the winning start's L-BFGS-B
+    iterations. A panel that never leaves the all-dormant or all-active state
+    pins some parameters to the search boundary, which is reported through
+    ``degenerate`` rather than an exception. ``converged`` reflects the
+    winning start only.
     """
     from scipy.optimize import minimize  # here, so only the fit pays for loading the optimizer
 
@@ -195,11 +214,11 @@ def fit(
     degenerate = bool((panel.states == 0).all() or (panel.states == 1).all())
 
     def objective(theta: np.ndarray) -> float:
-        if not np.all(np.isfinite(theta)):
-            return math.inf
-        a, b, g = np.exp(np.clip(theta, -_LOG_LIMIT, _LOG_LIMIT))
-        value = stats.log_likelihood(ModelParams(a, b, g))
+        value = stats.log_likelihood(_params_at(theta))
         return math.inf if math.isnan(value) else -value
+
+    def slope(theta: np.ndarray) -> np.ndarray:  # the objective is flat where the clip acts
+        return np.where(np.abs(theta) <= _LOG_LIMIT, -stats.gradient(_params_at(theta)), 0.0)
 
     starts = [np.log(np.array(init.as_tuple()))]
     if config.starts:
@@ -209,46 +228,23 @@ def fit(
         )
         starts.extend(box)
 
-    def solve(theta0: np.ndarray):
-        trace: list[np.ndarray] = []
-        callback = trace.append if config.keep_trace else None
-        result = minimize(
+    outcomes = [
+        minimize(
             objective,
             theta0,
-            method="Nelder-Mead",
-            callback=callback,
-            options={
-                "maxiter": config.max_iter,
-                "fatol": config.fun_tol,
-                "xatol": config.step_tol,
-                "adaptive": False,
-            },
+            jac=slope,
+            method="L-BFGS-B",
+            options={"maxiter": config.max_iter, "ftol": _FTOL, "gtol": _GTOL},
         )
-        return result, trace
-
-    outcomes = ordered_map(solve, starts, threads=config.threads)
-    best_index = 0
-    best_value = math.inf
-    for index, (result, _) in enumerate(outcomes):
-        if math.isfinite(result.fun) and result.fun < best_value:
-            best_index, best_value = index, result.fun
-    winner, winner_trace = outcomes[best_index]
-    params = ModelParams(*np.exp(np.clip(winner.x, -_LOG_LIMIT, _LOG_LIMIT)))
-    trace = None
-    if config.keep_trace:
-        trace = tuple(
-            (
-                ModelParams(*np.exp(np.clip(theta, -_LOG_LIMIT, _LOG_LIMIT))),
-                -objective(theta),
-            )
-            for theta in winner_trace
-        )
+        for theta0 in starts
+    ]
+    finite = [result for result in outcomes if math.isfinite(result.fun)]
+    winner = min(finite, key=lambda result: result.fun) if finite else outcomes[0]  # first of ties
     return FitResult(
-        params=params,
+        params=_params_at(winner.x),
         log_likelihood=-float(winner.fun),
         iterations=int(winner.nit),
         converged=bool(winner.success),
         degenerate=degenerate,
         n_starts=len(starts),
-        trace=trace,
     )

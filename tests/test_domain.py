@@ -385,6 +385,22 @@ class TestEventPanel:
         save_panel(panel, path)
         assert load_panel(path).start_label is None
 
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 30)),
+        start=st.sampled_from([None, "1999-12", "2013-01"]),
+    )
+    def test_saved_bytes_match_a_per_cell_writer(self, tmp_path_factory, seed, shape, start):
+        states = np.random.default_rng(seed).integers(0, 2, size=shape)
+        panel = EventPanel(states, start_label=start)
+        lines = [",".join(panel.labels)]
+        for row in panel.states:
+            lines.append(",".join(str(int(v)) for v in row))
+        path = tmp_path_factory.mktemp("panel") / "panel.csv"
+        save_panel(panel, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_non_binary_cell_is_an_error(self, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text("t0,t1\n0,x\n")

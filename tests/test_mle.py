@@ -1,19 +1,23 @@
 """Panel log-likelihood, analytic gradient, and maximum-likelihood fitting."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carpnet import (
     EventPanel,
     FitConfig,
     ModelParams,
+    PanelStats,
     ValidationError,
     fit,
     generate_synthetic,
     log_likelihood,
     log_likelihood_gradient,
 )
-from tests.helpers import count_based_log_likelihood, make_network
+from tests.helpers import count_based_log_likelihood, make_network, small_graphs
 
 HAND_PARAMS = ModelParams(0.2, 0.1, 0.9)
 
@@ -111,6 +115,68 @@ class TestGradient:
         assert grad[0] < 0.0
 
 
+@st.composite
+def random_panels(draw):
+    """A graph of up to 8 risks, likelihoods in [0.05, 0.95] and a random panel."""
+    size, edges = draw(small_graphs(max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    network = make_network(rng.uniform(0.05, 0.95, size), edges)
+    panel = EventPanel(rng.integers(0, 2, size=(size, draw(st.integers(2, 15)))))
+    return network, panel
+
+
+def log_space_points(bound):
+    return st.tuples(*[st.floats(-bound, bound, allow_nan=False)] * 3).map(np.array)
+
+
+class TestCompactedStatistics:
+    @settings(deadline=None)
+    @given(random_panels(), log_space_points(700.0))
+    def test_gradient_is_finite_and_matches_central_differences(self, case, theta):
+        network, panel = case
+        stats = PanelStats(panel, network)
+        value = stats.log_likelihood(ModelParams(*np.exp(theta)))
+        if not math.isfinite(value):
+            return
+        grad = stats.gradient(ModelParams(*np.exp(theta)))
+        assert np.all(np.isfinite(grad))
+        h = 1e-4
+        for axis in range(3):
+            if abs(theta[axis]) + h > 700.0:
+                continue
+            up, down = theta.copy(), theta.copy()
+            up[axis] += h
+            down[axis] -= h
+            f_up = stats.log_likelihood(ModelParams(*np.exp(up)))
+            f_down = stats.log_likelihood(ModelParams(*np.exp(down)))
+            numeric = (f_up - f_down) / (2 * h)
+            # truncation O(h^2) per transition, plus the rounding of two huge values
+            slack = 1e-6 * (abs(numeric) + stats.n_transitions) + 1e-13 * (abs(f_up) + abs(f_down)) / h
+            assert abs(grad[axis] - numeric) <= slack
+
+    @settings(deadline=None)
+    @given(random_panels(), log_space_points(5.0).map(lambda theta: np.minimum(theta, 1.0)))
+    def test_log_likelihood_matches_transition_by_transition_reference(self, case, theta):
+        # the reference takes plain powers, so it is accurate only while no transition
+        # probability is within ~1e-4 of 0 or 1: theta stays in [-5, 1]
+        network, panel = case
+        params = ModelParams(*np.exp(theta))
+        fast = PanelStats(panel, network).log_likelihood(params)
+        assert fast == pytest.approx(count_based_log_likelihood(panel, network, params), rel=1e-12)
+
+    def test_gradient_stays_finite_where_the_exponent_overflows(self):
+        # a hub activates under 2000 active leaves: at alpha = beta = e^700 its exponent
+        # y (alpha + beta k) overflows to -inf while the log-likelihood stays finite
+        leaves = 2000
+        network = make_network([1.0 - 1e-9] + [0.5] * leaves, [(0, j) for j in range(1, leaves + 1)])
+        states = np.ones((leaves + 1, 2), dtype=int)
+        states[0] = [0, 1]
+        stats = PanelStats(EventPanel(states), network)
+        params = ModelParams(*np.exp([700.0, 700.0, 0.0]))
+        assert math.isfinite(stats.log_likelihood(params))
+        assert np.all(np.isfinite(stats.gradient(params)))
+
+
 class TestFit:
     def test_recovers_parameters_on_a_well_excited_panel(self):
         true = ModelParams(2e-2, 1e-2, 1.5)
@@ -150,14 +216,6 @@ class TestFit:
         serial = fit(panel, net, config=FitConfig(starts=2, seed=7, max_iter=400, threads=1))
         threaded = fit(panel, net, config=FitConfig(starts=2, seed=7, max_iter=400, threads=3))
         assert serial.params == threaded.params
-
-    def test_trace_is_recorded_on_request(self):
-        params = ModelParams(6e-3, 3e-3, 2.5)
-        net, panel = generate_synthetic(8, 12, (0.5, 0.8), params, 80, seed=41, initial_state="active")
-        result = fit(panel, net, config=FitConfig(starts=0, max_iter=150, keep_trace=True))
-        assert result.trace is not None
-        assert len(result.trace) > 0
-        assert all(isinstance(p, ModelParams) for p, _ in result.trace)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
