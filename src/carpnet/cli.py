@@ -73,12 +73,6 @@ def _resolve_threads(value: int | None) -> int:
     return value
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return "" if value is None else str(value)
-
-
 def _write_table(path: str, fmt: str, header: list[str], rows: list[list]) -> None:
     if fmt == "json":
         payload = {"columns": header, "rows": rows}
@@ -87,8 +81,7 @@ def _write_table(path: str, fmt: str, header: list[str], rows: list[list]) -> No
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerows(rows)  # floats by repr, None as an empty field
     atomic_write_text(path, buffer.getvalue())
 
 
@@ -141,12 +134,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     network = load_network(args.network)
     panel = load_panel(args.panel)
-    config = FitConfig(
-        starts=args.starts,
-        seed=args.seed,
-        max_iter=args.max_iter,
-        threads=_resolve_threads(args.threads),
-    )
+    _resolve_threads(args.threads)  # validated like every --threads; the fit runs its starts in order
+    config = FitConfig(starts=args.starts, seed=args.seed, max_iter=args.max_iter)
     init = ModelParams(args.init_alpha, args.init_beta, args.init_gamma)
     result = fit(panel, network, init=init, config=config)
     document = _meta(
@@ -202,7 +191,7 @@ def _steady(args: argparse.Namespace, network, params: ModelParams):
 
 def _steady_state(args: argparse.Namespace, network, params: ModelParams):
     steady = _steady(args, network, params)
-    rows = [[r.id, r.name, float(steady.p_hat[r.id])] for r in network.risks]
+    rows = [[r.id, r.name, p] for r, p in zip(network.risks, steady.p_hat.tolist())]
     return ["risk", "name", "p_hat"], rows, {
         "iterations": steady.iterations,
         "residual": steady.residual,
@@ -244,10 +233,10 @@ def _simulate(args: argparse.Namespace, network, params: ModelParams):
     trajectory = simulate(network, params, config)
     frequencies = trajectory.frequencies
     header = ["t"] + [f"risk_{r.id}" for r in network.risks]
-    rows: list[list] = [[t] + [float(v) for v in frequencies[:, t]] for t in range(trajectory.horizon)]
+    rows: list[list] = [[t, *row.tolist()] for t, row in enumerate(frequencies.T)]
     steady = fixed_point(network, params)
     if steady.converged:
-        rows.append(["inf"] + [float(v) for v in steady.p_hat])
+        rows.append(["inf", *steady.p_hat.tolist()])
     else:
         print("mean-field solve did not converge, 'inf' row omitted", file=sys.stderr)
     return header, rows, {"meanfield_row": bool(steady.converged)}
@@ -276,8 +265,7 @@ def _knockouts(args: argparse.Namespace, network, params: ModelParams):
 
 def _influence(args: argparse.Namespace, network, params: ModelParams):
     values = _knockouts(args, network, params).values
-    ids = range(network.size)
-    rows = [[i, j, float(values[i, j])] for i in ids for j in ids]
+    rows = [[i, j, v] for i, row in enumerate(values) for j, v in enumerate(row.tolist())]
     return ["source", "target", "influence"], rows, None
 
 

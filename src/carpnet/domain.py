@@ -44,6 +44,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -240,11 +241,27 @@ class RiskNetwork:
         return out
 
     @cached_property
+    def neighbor_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The graph as int32 CSR arrays ``(indptr, indices)``, built from ``edges``.
+
+        Risk i's neighbors are ``indices[indptr[i]:indptr[i + 1]]``, sorted.
+        Every other adjacency view is derived from this one pair.
+        """
+        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64, count=2 * self.edge_count)
+        low, high = ends.reshape(-1, 2).T
+        # each direction of each edge as the key row * R + col; sorting the keys orders the
+        # rows and each row's neighbors
+        keys = np.sort(np.concatenate((low * self.size + high, high * self.size + low)))
+        indices = (keys % self.size).astype(np.int32)
+        indptr = np.zeros(self.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(ends, minlength=self.size), out=indptr[1:])
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        out = np.zeros(self.size, dtype=np.int64)
-        for i, j in self.edges:
-            out[i] += 1
-            out[j] += 1
+        out = np.diff(self.neighbor_arrays[0]).astype(np.int64)
         out.setflags(write=False)
         return out
 
@@ -261,38 +278,33 @@ class RiskNetwork:
 
     @cached_property
     def adjacency_matrix(self) -> np.ndarray:
-        mat = np.zeros((self.size, self.size), dtype=np.int8)
-        for i, j in self.edges:
-            mat[i, j] = 1
-            mat[j, i] = 1
+        """Dense float64 0/1 adjacency, the operand of the mean-field products."""
+        indptr, indices = self.neighbor_arrays
+        mat = np.zeros((self.size, self.size))
+        mat[np.repeat(np.arange(self.size), np.diff(indptr)), indices] = 1.0
         mat.setflags(write=False)
         return mat
 
     @cached_property
     def adjacency_csr(self) -> sparse.csr_matrix:
-        """Symmetric int64 CSR adjacency built from ``edges``.
+        """Symmetric int32 CSR adjacency over the arrays of ``neighbor_arrays``.
 
         Its product with 0/1 state bits counts active neighbors exactly at
-        any degree, where the int8 ``adjacency_matrix`` would wrap past 127.
-        scipy.sparse is imported here, on first use, so importing carpnet
-        does not load it.
+        any degree. scipy.sparse is imported here, on first use, so importing
+        carpnet does not load it.
         """
         from scipy import sparse
 
-        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        rows = np.concatenate((pairs[:, 0], pairs[:, 1]))
-        cols = np.concatenate((pairs[:, 1], pairs[:, 0]))
-        ones = np.ones(rows.size, dtype=np.int64)
-        return sparse.csr_matrix((ones, (rows, cols)), shape=(self.size, self.size))
+        indptr, indices = self.neighbor_arrays
+        ones = np.ones(indices.size, dtype=np.int32)
+        return sparse.csr_matrix((ones, indices, indptr), shape=(self.size, self.size))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor id tuples, sorted, indexed by risk id."""
-        lists: list[list[int]] = [[] for _ in range(self.size)]
-        for i, j in self.edges:
-            lists[i].append(j)
-            lists[j].append(i)
-        return tuple(tuple(sorted(ns)) for ns in lists)
+        indptr, indices = self.neighbor_arrays
+        bounds, ids = indptr.tolist(), indices.tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
 
     def neighbors(self, risk_id: int) -> tuple[int, ...]:
         if not (0 <= risk_id < self.size):

@@ -112,7 +112,7 @@ def influence_matrix(
         raise ConvergenceError("baseline steady state did not converge")
     base_ext = transition_fractions(baseline, network, params).a_ext
     size = network.size
-    adjacency = network.adjacency_matrix.astype(np.float64)
+    adjacency = network.adjacency_matrix
     rows_per_block = max(1, BLOCK_CELLS // size)
 
     def knocked_block(start: int) -> np.ndarray:

@@ -100,8 +100,7 @@ def solve_block(
     max-norm update first drops to ``tol``, so it takes exactly the sweeps a
     one-row solve would; a row still moving after ``max_iter`` sweeps keeps
     its last iterate. Returns ``(p, iterations, residuals)``, one entry per
-    row; row b converged iff ``residuals[b] <= tol``. Pass ``adjacency`` as
-    float64: an integer matrix would be cast again on every sweep.
+    row; row b converged iff ``residuals[b] <= tol``.
     """
     if not (tol > 0.0):
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -158,9 +157,8 @@ def fixed_point(
         p = np.ones(network.size)
     else:
         p = network.likelihoods
-    adjacency = network.adjacency_matrix.astype(np.float64)
     p, iterations, residuals = solve_block(
-        network.likelihoods[None], adjacency, params, p[None], tol, max_iter, damping
+        network.likelihoods[None], network.adjacency_matrix, params, p[None], tol, max_iter, damping
     )
     residual = float(residuals[0])
     return SteadyState(p[0], int(iterations[0]), residual, residual <= tol)

@@ -40,6 +40,7 @@ from .errors import ValidationError
 _LOG_LIMIT = 700.0  # exp overflows past this, clip log-parameters to +-700
 _FTOL = 1e-12  # L-BFGS-B relative decrease of the objective at which a start stops
 _GTOL = 1e-8  # L-BFGS-B projected-gradient size at which a start stops
+_START_LOW, _START_HIGH = 1e-5, 10.0  # box of the random starts, per parameter
 
 
 class PanelStats:
@@ -64,9 +65,8 @@ class PanelStats:
         old, new = states[:, :-1], states[:, 1:]
         size = network.size
         width = int(network.degrees.max(initial=0)) + 1
-        # flat (risk, k) index, k = active neighbors at the earlier month, counted exactly; int32
-        # holds any index of a table that fits in memory, and halves the traffic of int64
-        cell = (network.adjacency_csr.astype(np.int32) @ states)[:, :-1]
+        # flat (risk, k) index, k = active neighbors at the earlier month, counted exactly
+        cell = (network.adjacency_csr @ states)[:, :-1]
         cell += np.arange(0, size * width, width, dtype=np.int32)[:, None]
         dormant = old == 0
         self.c01 = np.bincount(cell[dormant & (new == 1)], minlength=size * width).reshape(size, width)
@@ -148,28 +148,17 @@ def log_likelihood_gradient(
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the multi-start L-BFGS-B fit.
-
-    ``threads`` is validated but changes nothing: the starts run in order,
-    one after the other.
-    """
+    """Knobs for the multi-start L-BFGS-B fit."""
 
     starts: int = 5
     seed: int = 0
     max_iter: int = 2000
-    start_low: float = 1e-5
-    start_high: float = 10.0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.starts < 0:
             raise ValidationError(f"starts must be non-negative, got {self.starts}")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not (0.0 < self.start_low < self.start_high):
-            raise ValidationError("start range must satisfy 0 < low < high")
-        if self.threads < 1:
-            raise ValidationError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -198,11 +187,11 @@ def fit(
 
     Runs L-BFGS-B with the exact gradient in log-parameter space from
     ``init`` (default ``ModelParams(0.01, 0.01, 1.0)``) plus ``config.starts``
-    random starts drawn log-uniformly from ``[start_low, start_high]`` per
-    component, one after the other, and keeps the best final value; ties go
-    to the earliest start. ``iterations`` counts the winning start's L-BFGS-B
-    iterations. A panel that never leaves the all-dormant or all-active state
-    pins some parameters to the search boundary, which is reported through
+    random starts drawn log-uniformly from ``[1e-5, 10]`` per component, one
+    after the other, and keeps the best final value; ties go to the earliest
+    start. ``iterations`` counts the winning start's L-BFGS-B iterations. A
+    panel that never leaves the all-dormant or all-active state pins some
+    parameters to the search boundary, which is reported through
     ``degenerate`` rather than an exception. ``converged`` reflects the
     winning start only.
     """
@@ -223,9 +212,7 @@ def fit(
     starts = [np.log(np.array(init.as_tuple()))]
     if config.starts:
         rng = philox_stream(config.seed, 0)
-        box = rng.uniform(
-            math.log(config.start_low), math.log(config.start_high), size=(config.starts, 3)
-        )
+        box = rng.uniform(math.log(_START_LOW), math.log(_START_HIGH), size=(config.starts, 3))
         starts.extend(box)
 
     outcomes = [

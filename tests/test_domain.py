@@ -22,7 +22,7 @@ from carpnet import (
     save_network,
     save_panel,
 )
-from tests.helpers import bfs_distances, make_network, small_graphs
+from tests.helpers import bfs_distances, make_network, random_graph_edges, small_graphs
 
 positive_raws = st.lists(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False), min_size=1, max_size=30
@@ -208,6 +208,41 @@ GRAPHS = {  # name -> (size, edges, average clustering, diameter)
     "star-with-linked-leaves": (6, STAR + [(1, 2)], (0.1 + 1 + 1) / 6, 2),
     "complete-4": (4, list(itertools.combinations(range(4), 2)), 1.0, 1),
 }
+
+
+ADJACENCY_CASES = {
+    "no-edges": (5, ()),
+    "isolated-risks": (7, ((1, 2), (5, 2), (3, 5))),  # risks 0, 4 and 6 have no neighbor
+    # given as (high, low) pairs, so the views are built from canonicalized edges
+    "random": (40, tuple((j, i) for i, j in random_graph_edges(np.random.default_rng(8), 40, 150))),
+    "hub-200": (201, tuple((0, j) for j in range(1, 201))),
+}
+
+
+class TestAdjacencyViews:
+    """Every adjacency view is the graph of ``edges``, in its documented dtype."""
+
+    @pytest.mark.parametrize("size, edges", ADJACENCY_CASES.values(), ids=list(ADJACENCY_CASES))
+    def test_views_agree_with_edges(self, size, edges):
+        net = make_network([0.5] * size, edges)
+        expected = [set() for _ in range(size)]
+        dense = np.zeros((size, size))
+        for i, j in net.edges:
+            expected[i].add(j)
+            expected[j].add(i)
+            dense[i, j] = dense[j, i] = 1.0
+
+        assert net.degrees.dtype == np.int64
+        assert net.degrees.tolist() == [len(ns) for ns in expected]
+        assert net.adjacency == tuple(tuple(sorted(ns)) for ns in expected)
+        assert net.adjacency_matrix.dtype == np.float64
+        assert np.array_equal(net.adjacency_matrix, dense)
+        csr = net.adjacency_csr
+        assert csr.dtype == np.int32
+        assert csr.shape == (size, size)
+        assert np.array_equal(csr.toarray(), dense)
+        rows = [csr.indices[csr.indptr[i]:csr.indptr[i + 1]].tolist() for i in range(size)]
+        assert rows == [sorted(ns) for ns in expected]
 
 
 class TestGraphStatistics:

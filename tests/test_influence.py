@@ -88,15 +88,14 @@ class TestBlockSolve:
         network = star_network()
         likelihoods = np.tile(network.likelihoods, (network.size, 1))
         np.fill_diagonal(likelihoods, KNOCKOUT_FLOOR)
-        adjacency = network.adjacency_matrix.astype(np.float64)
-        _, iterations, _ = solve_block(likelihoods, adjacency, STAR_PARAMS, likelihoods)
+        _, iterations, _ = solve_block(likelihoods, network.adjacency_matrix, STAR_PARAMS, likelihoods)
         expected = [fixed_point(knockout(network, i), STAR_PARAMS).iterations for i in range(network.size)]
         assert iterations.tolist() == expected
 
     def test_exhausted_rows_report_max_iter_and_a_large_residual(self):
         network = star_network()
         likelihoods = np.tile(network.likelihoods, (2, 1))
-        adjacency = network.adjacency_matrix.astype(np.float64)
+        adjacency = network.adjacency_matrix
         _, iterations, residuals = solve_block(likelihoods, adjacency, STAR_PARAMS, likelihoods, max_iter=1)
         assert iterations.tolist() == [1, 1]
         assert (residuals > 1e-10).all()

@@ -210,17 +210,8 @@ class TestFit:
         assert first.params == second.params
         assert first.log_likelihood == second.log_likelihood
 
-    def test_threads_do_not_change_the_answer(self):
-        params = ModelParams(6e-3, 3e-3, 2.5)
-        net, panel = generate_synthetic(10, 20, (0.5, 0.8), params, 120, seed=29, initial_state="active")
-        serial = fit(panel, net, config=FitConfig(starts=2, seed=7, max_iter=400, threads=1))
-        threaded = fit(panel, net, config=FitConfig(starts=2, seed=7, max_iter=400, threads=3))
-        assert serial.params == threaded.params
-
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             FitConfig(starts=-1)
         with pytest.raises(ValidationError):
             FitConfig(max_iter=0)
-        with pytest.raises(ValidationError):
-            FitConfig(start_low=0.0)
