@@ -12,8 +12,10 @@ writes a single JSON document with the metadata embedded.
 A sidecar's ``options`` are every parsed argument except files, the table
 format and the thread count (``fit`` nests its starting point under
 ``init``), so any result can be audited and reproduced. All writes are
-atomic, no output carries a timestamp, and rerunning a command with the same
-inputs produces bit-identical files for any ``--threads`` setting.
+atomic: a table is written row by row into a temp file that is renamed onto
+``--output`` only once the last row is in. No output carries a timestamp,
+and rerunning a command with the same inputs produces bit-identical files
+for any ``--threads`` setting.
 
 Warnings raised while a command runs are printed as one ``warning:`` line
 each on stderr.
@@ -26,12 +28,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
 import json
 import os
 import sys
 import warnings
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from . import __version__
 from .domain import (
@@ -48,7 +51,7 @@ from .meanfield import InitMode, ext_int_ratio, fixed_point, stationarity_residu
 from .mle import FitConfig, fit
 from .montecarlo import SimulationConfig, simulate, temporal_influence
 from .synth import generate_synthetic
-from .utils import atomic_write_text, sha256_file
+from .utils import atomic_open, atomic_write_text, sha256_file
 
 THREADS_ENV = "CARPNET_THREADS"
 
@@ -73,16 +76,16 @@ def _resolve_threads(value: int | None) -> int:
     return value
 
 
-def _write_table(path: str, fmt: str, header: list[str], rows: list[list]) -> None:
-    if fmt == "json":
-        payload = {"columns": header, "rows": rows}
-        atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-        return
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)  # floats by repr, None as an empty field
-    atomic_write_text(path, buffer.getvalue())
+def _write_table(path: str, fmt: str, header: list[str], rows: Iterable[list]) -> None:
+    """Write ``rows`` into the temp file row by row; only JSON holds the whole table."""
+    with atomic_open(path) as handle:
+        if fmt == "json":
+            json.dump({"columns": header, "rows": list(rows)}, handle, indent=2)
+            handle.write("\n")
+        else:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)  # floats by repr, None as an empty field
 
 
 def _write_sidecar(output: str, meta: dict) -> None:
@@ -162,8 +165,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     """Load the network, compute the subcommand's table, write it and its sidecar.
 
-    ``args.compute(args, network, params)`` returns ``(header, rows, result)``;
-    a ``result`` of None leaves the sidecar without one.
+    ``args.compute(args, network, params)`` returns ``(header, rows, result)``
+    after all its numeric work; ``rows`` is any iterable, consumed once while
+    the table is written. A ``result`` of None leaves the sidecar without one.
     """
     network = load_network(args.network)
     header, rows, result = args.compute(args, network, _params(args))
@@ -230,15 +234,13 @@ def _simulate(args: argparse.Namespace, network, params: ModelParams):
         initial_state=args.initial_state,
         threads=_resolve_threads(args.threads),
     )
-    trajectory = simulate(network, params, config)
-    frequencies = trajectory.frequencies
-    header = ["t"] + [f"risk_{r.id}" for r in network.risks]
-    rows: list[list] = [[t, *row.tolist()] for t, row in enumerate(frequencies.T)]
+    frequencies = simulate(network, params, config).frequencies
     steady = fixed_point(network, params)
-    if steady.converged:
-        rows.append(["inf", *steady.p_hat.tolist()])
-    else:
+    if not steady.converged:
         print("mean-field solve did not converge, 'inf' row omitted", file=sys.stderr)
+    tail = [["inf", *steady.p_hat.tolist()]] if steady.converged else []
+    header = ["t"] + [f"risk_{r.id}" for r in network.risks]
+    rows = chain(([t, *row.tolist()] for t, row in enumerate(frequencies.T)), tail)
     return header, rows, {"meanfield_row": bool(steady.converged)}
 
 
@@ -265,7 +267,7 @@ def _knockouts(args: argparse.Namespace, network, params: ModelParams):
 
 def _influence(args: argparse.Namespace, network, params: ModelParams):
     values = _knockouts(args, network, params).values
-    rows = [[i, j, v] for i, row in enumerate(values) for j, v in enumerate(row.tolist())]
+    rows = ([i, j, v] for i, row in enumerate(values) for j, v in enumerate(row.tolist()))
     return ["source", "target", "influence"], rows, None
 
 
@@ -353,7 +355,9 @@ _TABLE_COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``carpnet`` parser, built once per process; parsing leaves it unchanged, so do not modify it."""
     parser = argparse.ArgumentParser(
         prog="carpnet",
         description="Interdependent risk networks: fitting, steady states, cascades, influence.",

@@ -88,9 +88,9 @@ class InfluenceMatrix:
             raise ValidationError(f"risk id {risk_id} outside 0..{self.size - 1}")
         if not (0 <= count <= self.size - 1):
             raise ValidationError(f"count must lie in [0, {self.size - 1}], got {count}")
-        row = self.values[risk_id]
-        order = sorted((j for j in range(self.size) if j != risk_id), key=lambda j: (-row[j], j))
-        return tuple(order[:count])
+        others = np.delete(np.arange(self.size), risk_id)
+        order = others[np.lexsort((others, -self.values[risk_id, others]))]
+        return tuple(order[:count].tolist())
 
 
 def influence_matrix(

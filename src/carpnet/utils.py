@@ -6,8 +6,9 @@ import hashlib
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -27,26 +28,30 @@ def ordered_map(fn: Callable[[T], U], items: Iterable[T], threads: int = 1) -> l
         return list(pool.map(fn, work))
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and rename.
+@contextmanager
+def atomic_open(path: str | os.PathLike) -> Iterator[TextIO]:
+    """Open a UTF-8 text handle on a temp file next to ``path``; rename it onto ``path`` on a clean exit.
 
-    Readers never observe a partially written file, and a crash mid-write
-    leaves any existing file untouched.
+    The handle writes newlines untranslated. Readers never observe a partially
+    written file: any exception inside the block, interrupts included, deletes
+    the temp file and leaves an existing ``path`` untouched.
     """
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=target.parent if str(target.parent) else ".",
-        prefix=target.name + ".",
-        suffix=".tmp",
-    )
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | os.PathLike, text: str) -> None:
+    """Write a finished ``text`` to ``path`` through :func:`atomic_open`."""
+    with atomic_open(path) as handle:
+        handle.write(text)
 
 
 def sha256_file(path: str | os.PathLike) -> str:

@@ -8,11 +8,15 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from carpnet import ValidationError, load_network, load_panel, save_network
+from carpnet import ModelParams, ValidationError, fixed_point, load_network, load_panel, save_network
+from carpnet import cli
 from carpnet.cli import run
+from carpnet.utils import atomic_open
 from tests.helpers import make_network
 
 
@@ -624,6 +628,157 @@ class TestWarningLines:
         assert run(argv) == 0
         assert capsys.readouterr().err == "warning: risk 0 has no distance-2 neighborhood, two-hop curve omitted\n"
         assert _read_csv(out)[1][0] == ["0", "0.0", ""]
+
+
+def _rows_then(error):
+    """Two table rows, then ``error``: a table whose rows fail while it is being written."""
+    yield [0, "a", 0.5]
+    yield [1, "b", 0.25]
+    raise error
+
+
+STREAM_ERRORS = [ValidationError("row 2 is bad"), KeyboardInterrupt()]
+STREAM_ERROR_IDS = ["ValidationError", "KeyboardInterrupt"]
+
+
+class TestAtomicWrites:
+    def test_atomic_open_renames_only_on_a_clean_exit(self, tmp_path):
+        out = tmp_path / "table.csv"
+        out.write_bytes(b"old\n")
+        with atomic_open(out) as handle:
+            handle.write("a\r\nb\n")
+            [tmp] = tmp_path.glob("*.tmp")
+            assert out.read_bytes() == b"old\n"
+        assert out.read_bytes() == b"a\r\nb\n"  # newlines are written untranslated
+        assert not tmp.exists()
+
+    @pytest.mark.parametrize("error", STREAM_ERRORS, ids=STREAM_ERROR_IDS)
+    def test_atomic_open_deletes_the_temp_file_on_any_exception(self, tmp_path, error):
+        out = tmp_path / "table.csv"
+        out.write_bytes(b"old\n")
+        with pytest.raises(type(error)):
+            with atomic_open(out) as handle:
+                handle.write("partial")
+                raise error
+        assert out.read_bytes() == b"old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("error", STREAM_ERRORS, ids=STREAM_ERROR_IDS)
+    def test_rows_failing_midway_leave_the_old_table(self, tmp_path, fmt, error):
+        out = tmp_path / "table"
+        out.write_bytes(b"old\n")
+        with pytest.raises(type(error)):
+            cli._write_table(str(out), fmt, ["risk", "name", "p_hat"], _rows_then(error))
+        assert out.read_bytes() == b"old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("error", STREAM_ERRORS, ids=STREAM_ERROR_IDS)
+    def test_influence_failing_midway_keeps_the_old_output(self, tmp_path, monkeypatch, capsys, error):
+        network, _ = _generate(tmp_path, nodes=6, edges=8)
+        out = tmp_path / "influence.csv"
+        out.write_bytes(b"old\n")
+
+        def values():  # the first row of the matrix, then a failure while the table streams
+            yield np.zeros(6)
+            raise error
+
+        monkeypatch.setattr(cli, "_knockouts", lambda args, network, params: SimpleNamespace(values=values()))
+        argv = ["influence", "--network", str(network), *PARAM_FLAGS, "--output", str(out)]
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run(argv)
+        else:
+            assert run(argv) == 1
+            assert capsys.readouterr().err == "error: row 2 is bad\n"
+        assert out.read_bytes() == b"old\n"
+        assert not Path(str(out) + ".meta.json").exists()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
+# A 4-risk star whose names need CSV quoting; the hub 0 has no distance-2 neighborhood.
+CELL_NETWORK = {
+    "risks": [_risk(i, name=name, likelihood=likelihood)
+              for i, (name, likelihood) in enumerate(zip(["a,b", 'say "hi"', "two\nlines", "plain"],
+                                                         [0.6, 0.5, 0.55, 0.45]))],
+    "edges": [[0, 1], [0, 2], [0, 3]],
+}
+CELL_PARAMS = ["--alpha", "0.2", "--beta", "0.9", "--gamma", "1.2"]
+
+
+class TestTableCells:
+    """Exact table bytes in both formats.
+
+    The ``p_hat`` cells are the solver's floats spliced in by ``repr``: their
+    last bits follow the platform's ``exp`` and ``log1p``. Every other byte,
+    Monte Carlo frequencies included, is fixed here.
+    """
+
+    @pytest.fixture
+    def p_hat(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("net.json").write_text(json.dumps(CELL_NETWORK), encoding="utf-8")
+        steady = fixed_point(load_network("net.json"), ModelParams(0.2, 0.9, 1.2))
+        return [repr(p) for p in steady.p_hat.tolist()]
+
+    @staticmethod
+    def _table(command, fmt, *flags):
+        argv = [command, "--network", "net.json", *CELL_PARAMS, *flags, "--format", fmt, "--output", "out"]
+        assert run(argv) == 0
+        return Path("out").read_bytes().decode("utf-8")
+
+    def test_steady_state_quotes_names_and_writes_floats_by_repr(self, p_hat):
+        assert self._table("steady-state", "csv") == (
+            "risk,name,p_hat\n"
+            f'0,"a,b",{p_hat[0]}\n'
+            f'1,"say ""hi""",{p_hat[1]}\n'
+            f'2,"two\nlines",{p_hat[2]}\n'
+            f"3,plain,{p_hat[3]}\n"
+        )
+        assert self._table("steady-state", "json") == (
+            '{\n  "columns": [\n    "risk",\n    "name",\n    "p_hat"\n  ],\n'
+            '  "rows": [\n'
+            f'    [\n      0,\n      "a,b",\n      {p_hat[0]}\n    ],\n'
+            f'    [\n      1,\n      "say \\"hi\\"",\n      {p_hat[1]}\n    ],\n'
+            f'    [\n      2,\n      "two\\nlines",\n      {p_hat[2]}\n    ],\n'
+            f'    [\n      3,\n      "plain",\n      {p_hat[3]}\n    ]\n'
+            "  ]\n}\n"
+        )
+
+    def test_simulate_ends_with_the_inf_row(self, p_hat):
+        flags = ("--runs", "4", "--horizon", "2", "--seed", "1", "--initial-state", "active")
+        assert self._table("simulate", "csv", *flags) == (
+            "t,risk_0,risk_1,risk_2,risk_3\n"
+            "0,1.0,1.0,1.0,1.0\n"
+            "1,1.0,0.25,0.75,0.5\n"
+            f"inf,{','.join(p_hat)}\n"
+        )
+        inf = ",\n      ".join(p_hat)
+        assert self._table("simulate", "json", *flags) == (
+            '{\n  "columns": [\n    "t",\n    "risk_0",\n    "risk_1",\n    "risk_2",\n    "risk_3"\n  ],\n'
+            '  "rows": [\n'
+            "    [\n      0,\n      1.0,\n      1.0,\n      1.0,\n      1.0\n    ],\n"
+            "    [\n      1,\n      1.0,\n      0.25,\n      0.75,\n      0.5\n    ],\n"
+            f'    [\n      "inf",\n      {inf}\n    ]\n'
+            "  ]\n}\n"
+        )
+
+    def test_temporal_influence_writes_a_missing_curve_as_empty_or_null(self, p_hat):
+        flags = ("--source", "0", "--runs", "6", "--horizon", "3", "--seed", "2")
+        assert self._table("temporal-influence", "csv", *flags) == (
+            "t,one_hop,two_hop\n"
+            "0,0.0,\n"
+            "1,0.3888888888888889,\n"
+            "2,0.16666666666666666,\n"
+        )
+        assert self._table("temporal-influence", "json", *flags) == (
+            '{\n  "columns": [\n    "t",\n    "one_hop",\n    "two_hop"\n  ],\n'
+            '  "rows": [\n'
+            "    [\n      0,\n      0.0,\n      null\n    ],\n"
+            "    [\n      1,\n      0.3888888888888889,\n      null\n    ],\n"
+            "    [\n      2,\n      0.16666666666666666,\n      null\n    ]\n"
+            "  ]\n}\n"
+        )
 
 
 HEAVY_MODULES = ("networkx", "scipy.optimize", "scipy.sparse")

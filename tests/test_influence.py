@@ -162,6 +162,19 @@ class TestInfluenceMatrix:
         with pytest.raises(ValidationError):
             matrix.top_influenced(5, 1)
 
+    def test_top_influenced_matches_sorted_reference_on_ties(self):
+        rng = np.random.default_rng(7)
+        values = rng.choice([-0.25, 0.0, 0.125, 0.5], size=(12, 12))  # every row has many ties
+        values[3, 4] = -0.0  # equal to 0.0, so it ties with the zeros by id
+        np.fill_diagonal(values, 1.0)  # the diagonal must never be ranked
+        matrix = InfluenceMatrix(values=values, tol=1e-10)
+        for i in range(12):
+            reference = sorted((j for j in range(12) if j != i), key=lambda j: (-values[i, j], j))
+            for count in (0, 1, 5, 11):
+                top = matrix.top_influenced(i, count)
+                assert top == tuple(reference[:count])
+                assert all(type(j) is int for j in top)
+
 
 class TestCategoryInfluence:
     def _network_two_categories(self):
