@@ -34,7 +34,9 @@ import os
 import sys
 import warnings
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import __version__
 from .domain import (
@@ -76,16 +78,45 @@ def _resolve_threads(value: int | None) -> int:
     return value
 
 
-def _write_table(path: str, fmt: str, header: list[str], rows: Iterable[list]) -> None:
-    """Write ``rows`` into the temp file row by row; only JSON holds the whole table."""
+class _MatrixRow(NamedTuple):
+    """A labelled float row as the table row ``[label, *values]``, or with ``long`` the rows ``[label, j, values[j]]``.
+
+    No cell needs CSV quoting, so the CSV text is one join of ``repr`` strings, not the csv module.
+    """
+
+    label: int | str
+    values: np.ndarray
+    long: bool = False
+
+    def rows(self) -> list[list]:
+        cells = self.values.tolist()
+        return [[self.label, j, v] for j, v in enumerate(cells)] if self.long else [[self.label, *cells]]
+
+    def csv(self) -> str:
+        cells = self.values.tolist()
+        if self.long:
+            return "".join(f"{self.label},{j},{v!r}\n" for j, v in enumerate(cells))
+        return f"{self.label}," + ",".join(map(repr, cells)) + "\n"
+
+
+def _write_table(path: str, fmt: str, header: list[str], rows: Iterable[list | _MatrixRow]) -> None:
+    """Write ``rows``, cell lists and ``_MatrixRow`` items, into the temp file as they come.
+
+    Only JSON holds the whole table.
+    """
     with atomic_open(path) as handle:
         if fmt == "json":
-            json.dump({"columns": header, "rows": list(rows)}, handle, indent=2)
+            cells = (item.rows() if isinstance(item, _MatrixRow) else [item] for item in rows)
+            json.dump({"columns": header, "rows": list(chain.from_iterable(cells))}, handle, indent=2)
             handle.write("\n")
         else:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)  # floats by repr, None as an empty field
+            for item in rows:  # floats by repr, None as an empty field
+                if isinstance(item, _MatrixRow):
+                    handle.write(item.csv())
+                else:
+                    writer.writerow(item)
 
 
 def _write_sidecar(output: str, meta: dict) -> None:
@@ -166,8 +197,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     """Load the network, compute the subcommand's table, write it and its sidecar.
 
     ``args.compute(args, network, params)`` returns ``(header, rows, result)``
-    after all its numeric work; ``rows`` is any iterable, consumed once while
-    the table is written. A ``result`` of None leaves the sidecar without one.
+    after all its numeric work; ``rows`` is any iterable of cell lists and
+    ``_MatrixRow`` items, consumed once while the table is written. A
+    ``result`` of None leaves the sidecar without one.
     """
     network = load_network(args.network)
     header, rows, result = args.compute(args, network, _params(args))
@@ -238,9 +270,9 @@ def _simulate(args: argparse.Namespace, network, params: ModelParams):
     steady = fixed_point(network, params)
     if not steady.converged:
         print("mean-field solve did not converge, 'inf' row omitted", file=sys.stderr)
-    tail = [["inf", *steady.p_hat.tolist()]] if steady.converged else []
+    tail = [_MatrixRow("inf", steady.p_hat)] if steady.converged else []
     header = ["t"] + [f"risk_{r.id}" for r in network.risks]
-    rows = chain(([t, *row.tolist()] for t, row in enumerate(frequencies.T)), tail)
+    rows = chain((_MatrixRow(t, row) for t, row in enumerate(frequencies.T)), tail)
     return header, rows, {"meanfield_row": bool(steady.converged)}
 
 
@@ -267,7 +299,7 @@ def _knockouts(args: argparse.Namespace, network, params: ModelParams):
 
 def _influence(args: argparse.Namespace, network, params: ModelParams):
     values = _knockouts(args, network, params).values
-    rows = ([i, j, v] for i, row in enumerate(values) for j, v in enumerate(row.tolist()))
+    rows = (_MatrixRow(i, row, long=True) for i, row in enumerate(values))
     return ["source", "target", "influence"], rows, None
 
 

@@ -41,12 +41,12 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -181,37 +181,65 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _canonical_edges(edges: Iterable[Sequence[int]], size: int) -> tuple[tuple[int, int], ...]:
-    seen: set[tuple[int, int]] = set()
-    for edge in edges:
-        pair = tuple(edge)
-        if len(pair) != 2:
-            raise ValidationError(f"edge must be a pair of risk ids, got {pair!r}")
-        i, j = int(pair[0]), int(pair[1])
+def _id_pairs(edges: Sequence) -> bool:
+    """Whether every edge is a list or tuple of two Python or numpy integers (booleans are not ids)."""
+    if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}):
+        return False
+    kinds = set(map(type, chain.from_iterable(edges)))
+    return all(issubclass(kind, (int, np.integer)) and kind is not bool for kind in kinds)
+
+
+def _edge_keys(edges: Sequence[Sequence[int]], size: int) -> np.ndarray:
+    """The sorted keys ``low * size + high`` of ``edges``, one per undirected edge.
+
+    Whole-list tests check the edges' types before the one conversion to an
+    int64 array, and whole-array masks find self-loops, ids outside
+    0..size-1 and repeated pairs. An error names the first bad edge in input
+    order, each edge tested in that order.
+    """
+    if not isinstance(edges, (list, tuple)):
+        edges = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
+    if not _id_pairs(edges):  # only now scan edge by edge, to name the first bad one
+        bad = next(edge for edge in edges if not _id_pairs([edge]))
+        raise ValidationError(f"edge must be a pair of integer risk ids, got {bad!r}")
+    try:
+        ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    except OverflowError:  # an id beyond int64 is outside 0..size-1, and stays so when clipped
+        ends = np.clip(np.array(edges, dtype=object), -1, size).astype(np.int64)
+    low, high = np.sort(ends.reshape(-1, 2), axis=1).T
+    keys = low * size + high
+    order = np.argsort(keys, kind="stable")  # a repeated pair sorts after its first copy
+    keys = keys[order]
+    repeated = np.zeros(keys.size, dtype=bool)
+    repeated[order[1:]] = keys[1:] == keys[:-1]
+    bad = (low == high) | (low < 0) | (high >= size) | repeated
+    if bad.any():  # every edge before the first bad one is a valid new pair
+        i, j = map(int, edges[int(bad.argmax())])
         if i == j:
             raise ValidationError(f"self-loop on risk {i} is not allowed")
         if not (0 <= i < size and 0 <= j < size):
             raise ValidationError(f"edge ({i}, {j}) references a risk id outside 0..{size - 1}")
-        key = (i, j) if i < j else (j, i)
-        if key in seen:
-            raise ValidationError(f"duplicate edge {key}")
-        seen.add(key)
-    return tuple(sorted(seen))
+        raise ValidationError(f"duplicate edge {(min(i, j), max(i, j))}")
+    keys.setflags(write=False)
+    return keys
 
 
 @dataclass(frozen=True, eq=False)
 class RiskNetwork:
     """Immutable risk network: risks with dense ids plus an undirected simple graph.
 
-    Edges are canonicalized to sorted (low, high) pairs; self-loops and
-    duplicates are rejected. Risks must carry ids 0..R-1 (any input order is
-    accepted and sorted).
+    ``edges`` may be given as any list or tuple of integer id pairs; it is
+    canonicalized to the sorted tuple of (low, high) pairs, and self-loops
+    and duplicates are rejected. The sorted int64 keys ``low * R + high``
+    are kept beside it, and every adjacency view is built from them. Risks
+    must carry ids 0..R-1 (any input order is accepted and sorted).
     """
 
     risks: tuple[Risk, ...]
     edges: tuple[tuple[int, int], ...]
     scheme: NormalizationScheme = NormalizationScheme.IDENTITY
     epsilon: float = DEFAULT_EPSILON
+    _edge_keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         risks = tuple(sorted(self.risks, key=lambda r: r.id))
@@ -223,8 +251,11 @@ class RiskNetwork:
             raise ValidationError(f"scheme must be a NormalizationScheme, got {self.scheme!r}")
         if not (0.0 < self.epsilon < 0.1):
             raise ValidationError(f"epsilon must lie in (0, 0.1), got {self.epsilon}")
+        keys = _edge_keys(self.edges, len(risks))
+        low, high = np.divmod(keys, len(risks))
         object.__setattr__(self, "risks", risks)
-        object.__setattr__(self, "edges", _canonical_edges(self.edges, len(risks)))
+        object.__setattr__(self, "edges", tuple(zip(low.tolist(), high.tolist())))
+        object.__setattr__(self, "_edge_keys", keys)
 
     @property
     def size(self) -> int:
@@ -242,19 +273,19 @@ class RiskNetwork:
 
     @cached_property
     def neighbor_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The graph as int32 CSR arrays ``(indptr, indices)``, built from ``edges``.
+        """The graph as int32 CSR arrays ``(indptr, indices)``, built from the edge keys.
 
         Risk i's neighbors are ``indices[indptr[i]:indptr[i + 1]]``, sorted.
         Every other adjacency view is derived from this one pair.
         """
-        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64, count=2 * self.edge_count)
-        low, high = ends.reshape(-1, 2).T
+        low, high = np.divmod(self._edge_keys, self.size)
         # each direction of each edge as the key row * R + col; sorting the keys orders the
         # rows and each row's neighbors
-        keys = np.sort(np.concatenate((low * self.size + high, high * self.size + low)))
-        indices = (keys % self.size).astype(np.int32)
+        keys = np.sort(np.concatenate((self._edge_keys, high * self.size + low)))
+        rows, cols = np.divmod(keys, self.size)
+        indices = cols.astype(np.int32)
         indptr = np.zeros(self.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(ends, minlength=self.size), out=indptr[1:])
+        np.cumsum(np.bincount(rows, minlength=self.size), out=indptr[1:])
         indptr.setflags(write=False)
         indices.setflags(write=False)
         return indptr, indices
@@ -413,10 +444,7 @@ class RiskNetwork:
         edges = data.get("edges", [])
         if not isinstance(edges, list):
             raise ValidationError("'edges' must be a list of id pairs")
-        for edge in edges:
-            if not (type(edge) is list and len(edge) == 2 and type(edge[0]) is int and type(edge[1]) is int):
-                raise ValidationError(f"edge must be a pair of integer risk ids, got {edge!r}")
-        return RiskNetwork(tuple(risks), tuple(map(tuple, edges)), scheme, epsilon)
+        return RiskNetwork(tuple(risks), edges, scheme, epsilon)
 
 
 def load_network(path: str | Path, fmt: str = "json") -> RiskNetwork:
@@ -436,6 +464,8 @@ def load_network(path: str | Path, fmt: str = "json") -> RiskNetwork:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: JSON nested too deeply to read: {exc}") from exc
     return RiskNetwork.from_dict(data)
 
 

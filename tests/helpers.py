@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 from hypothesis import strategies as st
 
-from carpnet import CATEGORIES, ModelParams, Risk, RiskNetwork
+from carpnet import CATEGORIES, ModelParams, Risk, RiskNetwork, ValidationError
 
 # Two realistic month-scale parameter sets: a slow regime (rare activations,
 # long active spells) and a faster one (more contagion, quicker recovery).
@@ -40,6 +40,30 @@ def make_network(
         for i in range(n)
     )
     return RiskNetwork(risks, tuple(edges))
+
+
+def canonical_edges(edges, size: int) -> tuple[tuple[int, int], ...]:
+    """Per-edge reference for edge canonicalization: the sorted (low, high) pairs of ``edges``.
+
+    Edges are checked one at a time in input order, each for a self-loop, then
+    an id outside 0..size-1, then a pair seen before in either orientation;
+    the first fault raises.
+    """
+    seen: set[tuple[int, int]] = set()
+    for edge in edges:
+        pair = tuple(edge)
+        if len(pair) != 2:
+            raise ValidationError(f"edge must be a pair of risk ids, got {pair!r}")
+        i, j = int(pair[0]), int(pair[1])
+        if i == j:
+            raise ValidationError(f"self-loop on risk {i} is not allowed")
+        if not (0 <= i < size and 0 <= j < size):
+            raise ValidationError(f"edge ({i}, {j}) references a risk id outside 0..{size - 1}")
+        key = (i, j) if i < j else (j, i)
+        if key in seen:
+            raise ValidationError(f"duplicate edge {key}")
+        seen.add(key)
+    return tuple(sorted(seen))
 
 
 def random_graph_edges(rng: np.random.Generator, nodes: int, edges: int):
@@ -140,6 +164,32 @@ def small_graphs(draw, max_size: int = 40):
     if not pairs:
         return size, []
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=min(len(pairs), 150)))
+    return size, edges
+
+
+@st.composite
+def messy_edge_lists(draw, max_size: int = 12):
+    """A risk count and an edge list that may break every edge rule.
+
+    Half the draws start from a simple graph, each pair in either
+    orientation; the others from pairs of ids in [-3, R+3]. Repeats of drawn
+    pairs, either way round, may follow, and the list is shuffled. Each edge
+    is a list or a tuple, each id a Python or numpy integer.
+    """
+    size = draw(st.integers(min_value=1, max_value=max_size))
+    if draw(st.booleans()):
+        simple = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        pairs = draw(st.lists(st.sampled_from(simple), unique=True, max_size=20)) if simple else []
+        pairs = [pair[::-1] if draw(st.booleans()) else pair for pair in pairs]
+    else:
+        ids = st.integers(min_value=-3, max_value=size + 3)
+        pairs = draw(st.lists(st.tuples(ids, ids), max_size=30))
+    if pairs:
+        repeats = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=5))
+        pairs = draw(st.permutations(pairs + [pair[::-1] if flip else pair for pair, flip in repeats]))
+    containers = st.sampled_from([list, tuple])
+    kinds = st.sampled_from([int, np.int64, np.int32, np.int16])
+    edges = [draw(containers)(draw(kinds)(v) for v in pair) for pair in pairs]
     return size, edges
 
 

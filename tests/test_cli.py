@@ -507,6 +507,22 @@ BAD_NETWORKS = {
     "normalization-not-an-object": _two_risks(normalization="minmax"),
     "category-unknown": {"risks": [_risk(0, category="Cosmic")], "edges": []},
     "non-utf8": b"\xff\xfe{}",
+    "deeply-nested": b"[" * 200_000 + b"]" * 200_000,
+    "edge-huge-id": _two_risks(edges=[[0, 2**70]]),
+    "edge-negative-id": _two_risks(edges=[[-1, 0]]),
+    "edge-bool-id": _two_risks(edges=[[True, 1]]),
+    "edge-self-loop": _two_risks(edges=[[1, 1]]),
+    "edge-duplicate-reversed": _two_risks(edges=[[0, 1], [1, 0]]),
+}
+
+# Edge lists with two faults, and the message of the one that must be reported:
+# element types are checked over the whole list first, then edges in file order.
+COMPETING_EDGE_FAULTS = {
+    "self-loop-then-out-of-range": ([[1, 1], [0, 2**70]], "self-loop on risk 1 is not allowed"),
+    "out-of-range-then-self-loop": ([[0, 2**70], [1, 1]], f"edge (0, {2**70}) references a risk id outside 0..1"),
+    "duplicate-then-self-loop": ([[0, 1], [1, 0], [1, 1]], "duplicate edge (0, 1)"),
+    "self-loop-outside-the-range": ([[-1, -1], [0, 7]], "self-loop on risk -1 is not allowed"),
+    "self-loop-then-float-id": ([[1, 1], [0, 1.5]], "edge must be a pair of integer risk ids, got [0, 1.5]"),
 }
 
 
@@ -518,6 +534,14 @@ class TestMalformedNetworkFiles:
         code = run(["steady-state", "--network", str(path), *PARAM_FLAGS, "--output", str(tmp_path / "o.csv")])
         assert code == 1
         assert re.search(r"^error: ", capsys.readouterr().err, re.MULTILINE)
+
+    @pytest.mark.parametrize("edges, message", COMPETING_EDGE_FAULTS.values(), ids=COMPETING_EDGE_FAULTS.keys())
+    def test_the_first_fault_is_reported(self, tmp_path, edges, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_two_risks(edges=edges)), encoding="utf-8")
+        with pytest.raises(ValidationError) as raised:
+            load_network(path)
+        assert str(raised.value) == message
 
 
 def _panel_csv(rows):

@@ -22,7 +22,14 @@ from carpnet import (
     save_network,
     save_panel,
 )
-from tests.helpers import bfs_distances, make_network, random_graph_edges, small_graphs
+from tests.helpers import (
+    bfs_distances,
+    canonical_edges,
+    make_network,
+    messy_edge_lists,
+    random_graph_edges,
+    small_graphs,
+)
 
 positive_raws = st.lists(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False), min_size=1, max_size=30
@@ -243,6 +250,34 @@ class TestAdjacencyViews:
         assert np.array_equal(csr.toarray(), dense)
         rows = [csr.indices[csr.indptr[i]:csr.indptr[i + 1]].tolist() for i in range(size)]
         assert rows == [sorted(ns) for ns in expected]
+
+
+class TestEdgeCanonicalization:
+    """The vectorized edge checks against the per-edge reference in ``tests.helpers``."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(messy_edge_lists())
+    def test_matches_the_per_edge_oracle(self, case):
+        size, edges = case
+        risks = make_network([0.5] * size).risks
+        try:
+            expected = canonical_edges(edges, size)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                RiskNetwork(risks, edges)
+            assert str(raised.value) == str(exc)
+            return
+        net = RiskNetwork(risks, edges)
+        assert net.edges == expected
+        assert {type(v) for pair in net.edges for v in pair} <= {int}
+        neighbors = [[] for _ in range(size)]
+        for i, j in expected:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        indptr, indices = net.neighbor_arrays
+        assert indptr.dtype == indices.dtype == np.int32
+        assert indptr.tolist() == [0, *itertools.accumulate(map(len, neighbors))]
+        assert indices.tolist() == [j for row in neighbors for j in sorted(row)]
 
 
 class TestGraphStatistics:
