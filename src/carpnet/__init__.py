@@ -50,6 +50,7 @@ from .meanfield import (
     SteadyState,
     TransitionFractions,
     ext_int_ratio,
+    ext_int_ratios,
     fixed_point,
     stationarity_residual,
     transition_fractions,
@@ -100,6 +101,7 @@ __all__ = [
     "activation_prob",
     "category_influence",
     "ext_int_ratio",
+    "ext_int_ratios",
     "fit",
     "fixed_point",
     "generate_synthetic",

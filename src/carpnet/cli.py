@@ -49,7 +49,7 @@ from .domain import (
 )
 from .errors import CarpError, ConvergenceError, ValidationError
 from .influence import category_influence, influence_matrix
-from .meanfield import InitMode, ext_int_ratio, fixed_point, stationarity_residual, transition_fractions
+from .meanfield import InitMode, ext_int_ratios, fixed_point, stationarity_residual, transition_fractions
 from .mle import FitConfig, fit
 from .montecarlo import SimulationConfig, simulate, temporal_influence
 from .synth import generate_synthetic
@@ -242,19 +242,17 @@ _FRACTIONS = ("a_int", "a_ext", "a_rec", "raw_int", "raw_ext", "raw_rec")
 def _transitions(args: argparse.Namespace, network, params: ModelParams):
     steady = _steady(args, network, params)
     fractions = transition_fractions(steady, network, params)
-    rows = []
-    for r in network.risks:
-        exact, taylor = ext_int_ratio(steady, network, params, r.id)
-        shares = [float(getattr(fractions, name)[r.id]) for name in _FRACTIONS]
-        rows.append([r.id, r.name, r.category.value, *shares, exact, taylor])
+    exact, taylor = (ratios.tolist() for ratios in ext_int_ratios(steady, network, params))
+    columns = [getattr(fractions, name).tolist() for name in _FRACTIONS] + [exact, taylor]
+    rows = [[r.id, r.name, r.category.value, *cells] for r, *cells in zip(network.risks, *columns)]
     header = ["risk", "name", "category", *_FRACTIONS, "ratio_exact", "ratio_taylor"]
     share = fractions.a_int / (fractions.a_int + fractions.a_ext)
     return header, rows, {
         "iterations": steady.iterations,
         "residual": steady.residual,
         "mean_internal_share": float(share.mean()),
-        "mean_ratio_exact": float(sum(row[-2] for row in rows) / len(rows)),
-        "mean_ratio_taylor": float(sum(row[-1] for row in rows) / len(rows)),
+        "mean_ratio_exact": sum(exact) / len(rows),
+        "mean_ratio_taylor": sum(taylor) / len(rows),
     }
 
 

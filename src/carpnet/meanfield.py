@@ -12,9 +12,12 @@ count, unlike the integer counts of the stochastic kernel). The fixed point
 is solved by damped successive approximation with synchronous sweeps, so the
 iteration is deterministic and independent of risk ordering. The sweep loop
 (:func:`solve_block`) runs a (B, R) block of probability rows, one per
-likelihood vector over the same graph, with one matrix product per sweep;
+likelihood vector over the same graph, with one neighbor sum per sweep;
 :func:`fixed_point` is its one-row call and the knockout influence matrix
-its many-row call.
+its many-row call. The knockout blocks multiply by the dense adjacency; a
+one-row solve sums through :meth:`RiskNetwork.neighbor_sums`, a segment sum
+over the neighbor arrays on sparse graphs and the dense product on dense
+ones. Every other one-row product here goes through it too.
 
 Transition decomposition
 ------------------------
@@ -74,18 +77,22 @@ class SteadyState:
         object.__setattr__(self, "p_hat", p)
 
 
-def _p01(p: np.ndarray, likelihoods: np.ndarray, adjacency: np.ndarray, params: ModelParams) -> np.ndarray:
+def _p01(
+    p: np.ndarray, likelihoods: np.ndarray, adjacency: np.ndarray | RiskNetwork, params: ModelParams
+) -> np.ndarray:
     """Mean-field activation probability of every risk, row by row of ``p``.
 
     ``p @ adjacency`` is each risk's expected active-neighbor count; the
-    adjacency is symmetric, so a (B, R) block needs one matrix product.
+    adjacency is symmetric, so a (B, R) block needs one matrix product. A
+    network operand picks its own (:meth:`RiskNetwork.neighbor_sums`).
     """
-    return activation_prob(likelihoods, params.alpha + params.beta * (p @ adjacency))
+    m = adjacency.neighbor_sums(p) if isinstance(adjacency, RiskNetwork) else p @ adjacency
+    return activation_prob(likelihoods, params.alpha + params.beta * m)
 
 
 def solve_block(
     likelihoods: np.ndarray,
-    adjacency: np.ndarray,
+    adjacency: np.ndarray | RiskNetwork,
     params: ModelParams,
     start: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -95,11 +102,12 @@ def solve_block(
     """Damped synchronous sweeps on a (B, R) block, each row to its own fixed point.
 
     Row b solves the self-consistency equations of the network with
-    likelihoods ``likelihoods[b]`` and the shared ``adjacency``, starting
-    from ``start[b]``. A row leaves the block at the sweep where its own
-    max-norm update first drops to ``tol``, so it takes exactly the sweeps a
-    one-row solve would; a row still moving after ``max_iter`` sweeps keeps
-    its last iterate. Returns ``(p, iterations, residuals)``, one entry per
+    likelihoods ``likelihoods[b]`` and the shared ``adjacency``, the dense
+    matrix or the network itself (which sums neighbors by its density),
+    starting from ``start[b]``. A row leaves the block at the sweep where its
+    own max-norm update first drops to ``tol``, so it takes exactly the
+    sweeps a one-row solve would; a row still moving after ``max_iter``
+    sweeps keeps its last iterate. Returns ``(p, iterations, residuals)``, one entry per
     row; row b converged iff ``residuals[b] <= tol``.
     """
     if not (tol > 0.0):
@@ -158,7 +166,7 @@ def fixed_point(
     else:
         p = network.likelihoods
     p, iterations, residuals = solve_block(
-        network.likelihoods[None], network.adjacency_matrix, params, p[None], tol, max_iter, damping
+        network.likelihoods[None], network, params, p[None], tol, max_iter, damping
     )
     residual = float(residuals[0])
     return SteadyState(p[0], int(iterations[0]), residual, residual <= tol)
@@ -176,7 +184,7 @@ def stationarity_residual(p: np.ndarray, network: RiskNetwork, params: ModelPara
         raise ValidationError(f"probability vector must have shape ({network.size},), got {p.shape}")
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValidationError("probabilities must lie in [0, 1]")
-    p01 = _p01(p, network.likelihoods, network.adjacency_matrix, params)
+    p01 = _p01(p, network.likelihoods, network, params)
     p_con = activation_prob(network.likelihoods, params.gamma)
     return float(np.max(np.abs((1.0 - p) * p01 + p * p_con - p)))
 
@@ -228,7 +236,7 @@ def transition_fractions(steady: SteadyState, network: RiskNetwork, params: Mode
     p = steady.p_hat
     if p.shape != (network.size,):
         raise ValidationError(f"steady state has {p.shape[0]} risks but the network has {network.size}")
-    m = p @ network.adjacency_matrix
+    m = network.neighbor_sums(p)
     raw_int, raw_ext, raw_rec, total = transition_rates(p, m, network.likelihoods, params)
     return TransitionFractions(
         a_int=raw_int / total,
@@ -238,6 +246,28 @@ def transition_fractions(steady: SteadyState, network: RiskNetwork, params: Mode
         raw_ext=raw_ext,
         raw_rec=raw_rec,
     )
+
+
+def _ratios(
+    steady: SteadyState, network: RiskNetwork, params: ModelParams, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(exact, taylor)`` of :func:`ext_int_ratio` for the risks ``ids``; an underflow names the first."""
+    if not steady.converged:
+        raise ValidationError("ratio requires a converged steady state")
+    likelihoods = network.likelihoods[ids]
+    m = network.neighbor_sums(steady.p_hat)[ids]
+    denom = activation_prob(likelihoods, params.alpha)
+    underflow = denom <= 0.0
+    if underflow.any():
+        raise ValidationError(
+            f"internal activation probability underflowed to zero for risk {ids[underflow.argmax()]}"
+        )
+    return activation_prob(likelihoods, params.beta * m) / denom, params.beta * m / params.alpha
+
+
+def ext_int_ratios(steady: SteadyState, network: RiskNetwork, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ext_int_ratio` of every risk at once, as the arrays ``(exact, taylor)``."""
+    return _ratios(steady, network, params, np.arange(network.size))
 
 
 def ext_int_ratio(
@@ -252,19 +282,10 @@ def ext_int_ratio(
     state and ``taylor = beta * m / alpha`` is its small-exponent expansion
     (both numerator and denominator expanded to first order). The pair lets
     callers check whether the linearized reading is trustworthy for their
-    parameters.
+    parameters. Each call sums every risk's neighbors; for all risks, call
+    :func:`ext_int_ratios` once.
     """
     if not (0 <= risk_id < network.size):
         raise ValidationError(f"risk id {risk_id} outside 0..{network.size - 1}")
-    if not steady.converged:
-        raise ValidationError("ratio requires a converged steady state")
-    likelihood = network.risks[risk_id].normalized_likelihood
-    m = float(network.adjacency_matrix[risk_id] @ steady.p_hat)
-    denom = float(activation_prob(likelihood, params.alpha))
-    if denom <= 0.0:
-        raise ValidationError(
-            f"internal activation probability underflowed to zero for risk {risk_id}"
-        )
-    exact = float(activation_prob(likelihood, params.beta * m)) / denom
-    taylor = params.beta * m / params.alpha
-    return exact, taylor
+    exact, taylor = _ratios(steady, network, params, np.array([risk_id]))
+    return float(exact[0]), float(taylor[0])

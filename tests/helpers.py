@@ -66,6 +66,15 @@ def canonical_edges(edges, size: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(seen))
 
 
+def dense_adjacency(network: RiskNetwork) -> np.ndarray:
+    """Dense float64 0/1 adjacency set edge by edge, the reference operand ``p @ A`` of neighbor sums."""
+    adjacency = np.zeros((network.size, network.size))
+    for i, j in network.edges:
+        adjacency[i, j] = 1.0
+        adjacency[j, i] = 1.0
+    return adjacency
+
+
 def random_graph_edges(rng: np.random.Generator, nodes: int, edges: int):
     """Uniform simple graph with an exact edge count, as an edge tuple."""
     max_edges = nodes * (nodes - 1) // 2
@@ -103,11 +112,7 @@ def exact_stationary_marginals(
         [[(s >> i) & 1 for i in range(size)] for s in range(n_states)], dtype=np.float64
     )
     likelihoods = np.array([r.normalized_likelihood for r in network.risks])
-    adjacency = np.zeros((size, size))
-    for i, j in network.edges:
-        adjacency[i, j] = 1.0
-        adjacency[j, i] = 1.0
-    active_neighbors = states @ adjacency  # (n_states, size)
+    active_neighbors = states @ dense_adjacency(network)  # (n_states, size)
     p_act = 1.0 - (1.0 - likelihoods) ** (params.alpha + params.beta * active_neighbors)
     p_con = 1.0 - (1.0 - likelihoods) ** params.gamma
     next_active = np.where(states == 1, p_con, p_act)  # (n_states, size)
@@ -137,10 +142,7 @@ def count_based_log_likelihood(panel, network, params: ModelParams) -> float:
     """
     states = panel.states
     likelihoods = np.array([r.normalized_likelihood for r in network.risks])
-    adjacency = np.zeros((network.size, network.size))
-    for i, j in network.edges:
-        adjacency[i, j] = 1.0
-        adjacency[j, i] = 1.0
+    adjacency = dense_adjacency(network)
     total = 0.0
     for t in range(states.shape[1] - 1):
         active = states[:, t].astype(float)

@@ -160,6 +160,16 @@ class TestTransitions:
         meta = json.loads((tmp_path / "transitions.csv.meta.json").read_text())
         assert 0.0 < meta["result"]["mean_internal_share"] < 1.0
 
+    def test_ratio_underflow_exits_1_naming_the_risk(self, tmp_path, capsys):
+        network = tmp_path / "net.json"
+        save_network(make_network([0.6, 0.01, 0.7], [(0, 1), (1, 2)]), network)
+        out = tmp_path / "transitions.csv"
+        argv = ["transitions", "--network", str(network), "--alpha", "5e-324", "--beta", "3e-3",
+                "--gamma", "2.5", "--output", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: internal activation probability underflowed to zero for risk 1\n"
+        assert not out.exists()
+
 
 class TestSimulate:
     def _argv(self, network, out, threads=None):
@@ -823,9 +833,9 @@ class TestImportFootprint:
     def test_importing_the_package_and_cli_loads_no_heavy_module(self):
         assert _loaded_heavy_modules("import carpnet\nimport carpnet.cli") == []
 
-    @pytest.mark.parametrize("command", ["steady-state", "influence"])
+    @pytest.mark.parametrize("command", ["steady-state", "transitions", "influence"])
     def test_mean_field_commands_load_no_optimizer_or_sparse_module(self, tmp_path, command):
-        network, _ = _generate(tmp_path, nodes=6, edges=8)
+        network, _ = _generate(tmp_path, nodes=30, edges=20)  # sparse: 2E * 20 < R**2
         argv = [command, "--network", str(network), *PARAM_FLAGS, "--output", str(tmp_path / "out.csv")]
         loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
         assert loaded == []

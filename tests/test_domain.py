@@ -25,6 +25,7 @@ from carpnet import (
 from tests.helpers import (
     bfs_distances,
     canonical_edges,
+    dense_adjacency,
     make_network,
     messy_edge_lists,
     random_graph_edges,
@@ -250,6 +251,50 @@ class TestAdjacencyViews:
         assert np.array_equal(csr.toarray(), dense)
         rows = [csr.indices[csr.indptr[i]:csr.indptr[i + 1]].tolist() for i in range(size)]
         assert rows == [sorted(ns) for ns in expected]
+
+
+NEIGHBOR_SUM_CASES = {  # name -> (size, edges, dense_products)
+    "empty-graph": (5, (), False),
+    "single-risk": (1, (), False),
+    # risks 0, 4 and 6..29 have no neighbor, the last ones at the end of the arrays
+    "isolated-and-trailing-isolated": (30, ((1, 2), (5, 2), (3, 5)), False),
+    "isolated-dense": (7, ((1, 2), (5, 2), (3, 5)), True),
+    "below-threshold": (20, tuple(zip(range(9), range(1, 10))), False),  # 2E * 20 = 360 < R**2
+    "at-threshold": (20, tuple(zip(range(10), range(1, 11))), True),  # 2E * 20 = 400 = R**2
+    "random-sparse": (200, random_graph_edges(np.random.default_rng(9), 200, 400), False),
+}
+
+
+class TestNeighborSums:
+    """``neighbor_sums`` against the dense reference ``p @ A`` on both sides of the density rule."""
+
+    @staticmethod
+    def _check(net, p):
+        sums = net.neighbor_sums(p)
+        assert sums.dtype == np.float64
+        assert sums.shape == p.shape
+        np.testing.assert_allclose(sums, p @ dense_adjacency(net), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("size, edges, dense", NEIGHBOR_SUM_CASES.values(), ids=list(NEIGHBOR_SUM_CASES))
+    def test_cases_match_the_dense_reference(self, size, edges, dense):
+        net = make_network([0.5] * size, edges)
+        assert net.dense_products is dense
+        p = np.random.default_rng(size).uniform(size=(3, size))
+        self._check(net, p[0])
+        self._check(net, p)
+        self._check(net, p[:0])
+        assert ("adjacency_matrix" in net.__dict__) is dense
+
+    @settings(deadline=None, max_examples=200)
+    @given(small_graphs(), st.data())
+    def test_matches_the_dense_reference(self, graph, data):
+        size, edges = graph
+        net = make_network([0.5] * size, edges)
+        unit = st.floats(min_value=0.0, max_value=1.0)
+        rows = data.draw(st.integers(min_value=1, max_value=3))
+        p = np.array(data.draw(st.lists(unit, min_size=rows * size, max_size=rows * size))).reshape(rows, size)
+        self._check(net, p[0])
+        self._check(net, p)
 
 
 class TestEdgeCanonicalization:

@@ -8,13 +8,16 @@ from carpnet import (
     ModelParams,
     ValidationError,
     ext_int_ratio,
+    ext_int_ratios,
     fixed_point,
+    generate_synthetic,
     philox_stream,
     poisson_probs,
     stationarity_residual,
     transition_fractions,
 )
-from tests.helpers import PARAMS_FAST, make_network, random_network
+from carpnet.meanfield import solve_block
+from tests.helpers import PARAMS_FAST, dense_adjacency, make_network, random_network
 
 TWO_NODE_PARAMS = ModelParams(0.1, 0.05, 1.0)
 
@@ -91,6 +94,29 @@ class TestFixedPoint:
             fixed_point(net, TWO_NODE_PARAMS, init="zeros")
 
 
+class TestSparseSolve:
+    """On sparse graphs the one-row products sum over the neighbor arrays, never the dense matrix."""
+
+    @pytest.mark.parametrize("nodes, edges, seed", [(120, 200, 1), (300, 900, 2), (1000, 5000, 3)])
+    def test_matches_a_dense_reference_solve(self, nodes, edges, seed):
+        net, _ = generate_synthetic(nodes, edges, (0.5, 0.8), PARAMS_FAST, 1, seed=seed)
+        assert not net.dense_products
+        for mode in (InitMode.ZEROS, InitMode.LIKELIHOODS):
+            steady = fixed_point(net, PARAMS_FAST, init=mode)
+            start = np.zeros(nodes) if mode is InitMode.ZEROS else net.likelihoods
+            p, iterations, _ = solve_block(net.likelihoods[None], dense_adjacency(net), PARAMS_FAST, start[None])
+            assert np.abs(steady.p_hat - p[0]).max() <= 1e-14
+            assert steady.iterations == iterations[0]
+
+    def test_never_builds_the_dense_matrix(self):
+        net, _ = generate_synthetic(300, 900, (0.5, 0.8), PARAMS_FAST, 1, seed=4)
+        steady = fixed_point(net, PARAMS_FAST)
+        stationarity_residual(steady.p_hat, net, PARAMS_FAST)
+        transition_fractions(steady, net, PARAMS_FAST)
+        ext_int_ratios(steady, net, PARAMS_FAST)
+        assert "adjacency_matrix" not in net.__dict__
+
+
 class TestStationarityResidual:
     def test_zero_only_at_the_fixed_point(self):
         net = two_node_network()
@@ -155,11 +181,7 @@ class TestTransitionFractions:
 def _overlap_rate(net, p_hat, params):
     # (1 - p) * p_int * (1 - (1 - p_ext)**m) with plain arithmetic
     likelihoods = np.array([r.normalized_likelihood for r in net.risks])
-    adjacency = np.zeros((net.size, net.size))
-    for i, j in net.edges:
-        adjacency[i, j] = 1.0
-        adjacency[j, i] = 1.0
-    m = adjacency @ p_hat
+    m = dense_adjacency(net) @ p_hat
     p_int = 1.0 - (1.0 - likelihoods) ** params.alpha
     ext_any = 1.0 - (1.0 - likelihoods) ** (params.beta * m)
     return (1.0 - p_hat) * p_int * ext_any
@@ -195,3 +217,22 @@ class TestExtIntRatio:
         stale = fixed_point(net, TWO_NODE_PARAMS, tol=1e-14, max_iter=1)
         with pytest.raises(ValidationError):
             ext_int_ratio(stale, net, TWO_NODE_PARAMS, 0)
+
+    def test_all_risks_at_once_match_the_per_risk_calls(self):
+        net = random_network(philox_stream(904), 30, 60, 0.3, 0.85)
+        steady = fixed_point(net, PARAMS_FAST, tol=1e-13)
+        exact, taylor = ext_int_ratios(steady, net, PARAMS_FAST)
+        pairs = [ext_int_ratio(steady, net, PARAMS_FAST, i) for i in range(net.size)]
+        assert list(zip(exact.tolist(), taylor.tolist())) == pairs
+
+    def test_underflow_names_the_first_risk_it_hits(self):
+        # alpha * log1p(-L) underflows to 0 for L = 0.01 but not for L >= 0.5
+        net = make_network([0.6, 0.01, 0.01, 0.7], [(0, 1), (1, 2), (2, 3)])
+        params = ModelParams(5e-324, 3e-3, 2.5)
+        steady = fixed_point(net, params)
+        assert steady.converged
+        with pytest.raises(ValidationError, match="underflowed to zero for risk 1$"):
+            ext_int_ratios(steady, net, params)
+        with pytest.raises(ValidationError, match="underflowed to zero for risk 2$"):
+            ext_int_ratio(steady, net, params, 2)
+        assert ext_int_ratio(steady, net, params, 3)[0] > 0.0
