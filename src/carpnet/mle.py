@@ -16,14 +16,21 @@ likelihood or gradient evaluation then reduces over the nonzero cells only,
 at a cost independent of the panel length.
 
 Fitting maximizes the log-likelihood over ``(ln alpha, ln beta, ln gamma)``
-with L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput., 1995) driven
-by the exact gradient, restarted from several random points drawn
-log-uniformly from a wide box. The log-parameters are clipped to
-``[-700, 700]``, where exp stays finite; past the clip the objective is flat
-and its gradient zero. Positivity is structural in log space, and the multi-start guards
-against the near-flat region where alpha and beta are both tiny. The
-supplied initial guess is always included as the first start, so the fitted
-log-likelihood can never fall below the initial one.
+by Newton's method on the exact gradient and Hessian, restarted from several
+random points drawn log-uniformly from a wide box. Each step solves
+``(-H + lambda I) d = g``, in coordinates scaled to a unit Hessian diagonal,
+with the least shift ``lambda`` (0 first) for which a Cholesky factorization
+succeeds (Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 3.4),
+then searches along ``d``: Armijo backtracking from the full step, or doubling
+it while the log-likelihood still rises, which crosses the exponential tails
+toward a supremum on the boundary in a few steps. The
+log-parameters are clipped to ``[-700, 700]``, where exp stays finite; past
+the clip the objective is flat and a coordinate there is held fixed, as is one
+the panel carries no information on (zero gradient and zero curvature, such
+as beta on an edgeless network). Positivity is structural in log space, and
+the multi-start guards against the near-flat region where alpha and beta are
+both tiny. The supplied initial guess is always included as the first start,
+so the fitted log-likelihood can never fall below the initial one.
 """
 
 from __future__ import annotations
@@ -38,8 +45,10 @@ from .dynamics import philox_stream
 from .errors import ValidationError
 
 _LOG_LIMIT = 700.0  # exp overflows past this, clip log-parameters to +-700
-_FTOL = 1e-12  # L-BFGS-B relative decrease of the objective at which a start stops
-_GTOL = 1e-8  # L-BFGS-B projected-gradient size at which a start stops
+_FTOL = 1e-12  # relative increase of the log-likelihood at which a start stops
+_GTOL = 1e-8  # largest free gradient component at which a start stops
+_ARMIJO = 1e-4  # sufficient-increase fraction of the line search
+_HALVINGS = 60  # backtracking steps before a line search gives up
 _START_LOW, _START_HIGH = 1e-5, 10.0  # box of the random starts, per parameter
 
 
@@ -110,14 +119,43 @@ class PanelStats:
         """
         alpha, beta, gamma = params.as_tuple()
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            e01 = alpha + beta * self._k01
-            # at a hub's large k, u can overflow to -inf, where f's limit is 0; clipping u far
-            # below exp's range gives exactly that and leaves every finite u's f unchanged
-            f01 = _bounded_slope(np.maximum(self._y01 * e01, -1e3))
-            d_alpha = alpha * self._w00.sum() - self._n01 @ (f01 * (alpha / e01))
-            d_beta = beta * (self._w00 @ self.k_values) - self._n01 @ (f01 * (beta * self._k01 / e01))
+            _, f01, r01, s01 = self._activation_terms(alpha, beta)
+            d_alpha = alpha * self._w00.sum() - self._n01 @ (f01 * r01)
+            d_beta = beta * (self._w00 @ self.k_values) - self._n01 @ (f01 * s01)
             d_gamma = gamma * self._n10y - self._n11 @ _bounded_slope(gamma * self._y11)
         return np.array([d_alpha, d_beta, d_gamma], dtype=np.float64)
+
+    def hessian(self, params: ModelParams) -> np.ndarray:
+        """Hessian of the log-likelihood with respect to (ln a, ln b, ln g).
+
+        Differentiating :meth:`gradient` once more, with the shares
+        ``r = alpha / e`` and ``s = beta k / e`` and ``q(u) = -f (u + f)``, which
+        is ``f - u f'(u)`` and lies in [-1, 0]: the terms linear in a parameter
+        repeat on the diagonal, each dormant->active cell adds ``q r^2 - f r``,
+        ``q s^2 - f s`` and ``q r s`` to the (a, a), (b, b) and (a, b) entries,
+        and each stay-active transition adds ``q - f`` to (g, g); gamma's cross
+        entries are 0. Every factor is bounded, so each entry is finite wherever
+        :meth:`log_likelihood` is.
+        """
+        alpha, beta, gamma = params.as_tuple()
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            u01, f01, r01, s01 = self._activation_terms(alpha, beta)
+            q01 = -f01 * (u01 + f01)
+            h_aa = alpha * self._w00.sum() + self._n01 @ ((q01 * r01 - f01) * r01)
+            h_bb = beta * (self._w00 @ self.k_values) + self._n01 @ ((q01 * s01 - f01) * s01)
+            h_ab = self._n01 @ (q01 * r01 * s01)
+            u11 = gamma * self._y11
+            f11 = _bounded_slope(u11)
+            h_gg = gamma * self._n10y - self._n11 @ (f11 * (u11 + f11) + f11)
+        return np.array([[h_aa, h_ab, 0.0], [h_ab, h_bb, 0.0], [0.0, 0.0, h_gg]], dtype=np.float64)
+
+    def _activation_terms(self, alpha: float, beta: float) -> tuple[np.ndarray, ...]:
+        """``u``, ``f(u)`` and the shares ``alpha / e`` and ``beta k / e`` of each nonzero c01 cell."""
+        e01 = alpha + beta * self._k01
+        # at a hub's large k, u can overflow to -inf, where f's limit is 0; clipping u far
+        # below exp's range gives exactly that and leaves every finite u's f unchanged
+        u01 = np.maximum(self._y01 * e01, -1e3)
+        return u01, _bounded_slope(u01), alpha / e01, beta * self._k01 / e01
 
 
 def _bounded_slope(u: np.ndarray) -> np.ndarray:
@@ -148,7 +186,7 @@ def log_likelihood_gradient(
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the multi-start L-BFGS-B fit."""
+    """Knobs for the multi-start Newton fit."""
 
     starts: int = 5
     seed: int = 0
@@ -177,6 +215,89 @@ def _params_at(theta: np.ndarray) -> ModelParams:
     return ModelParams(*np.exp(np.clip(theta, -_LOG_LIMIT, _LOG_LIMIT)))
 
 
+def _value(stats: PanelStats, theta: np.ndarray) -> float:
+    value = stats.log_likelihood(_params_at(theta))
+    return -math.inf if math.isnan(value) else value
+
+
+def _newton_step(curvature: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve ``(curvature + shift D^2) d = grad`` with the least shift, 0 first, that is positive definite.
+
+    Nocedal & Wright's Cholesky with added multiple of the identity, applied
+    to the matrix scaled to a unit-magnitude diagonal by ``D = sqrt(|diag|)``:
+    after a failure the shift starts at ``1e-3 - min(scaled diag)`` and then
+    doubles. The scaling lets one shift serve coordinates whose curvatures
+    differ by orders of magnitude (unscaled, a shift sized for gamma held a
+    tiny alpha in a convex region to steps of 1e-4). Every result is an ascent
+    direction, ``grad @ d > 0``.
+    """
+    scale = np.sqrt(np.abs(np.diag(curvature)))
+    scale[scale == 0.0] = 1.0
+    scaled = curvature / np.outer(scale, scale)
+    eye = np.eye(len(grad))
+    shift = 0.0
+    for _ in range(64):  # a finite matrix is diagonally dominant long before this
+        try:
+            np.linalg.cholesky(scaled + shift * eye)
+        except np.linalg.LinAlgError:
+            shift = max(2 * shift, 1e-3 - min(np.diag(scaled).min(), 0.0))
+            continue
+        return np.linalg.solve(scaled + shift * eye, grad / scale) / scale
+    return grad
+
+
+def _line_search(stats: PanelStats, theta: np.ndarray, value: float, step: np.ndarray, slope: float):
+    """Best point found along ``step`` from ``theta``, with its log-likelihood.
+
+    Backtracks from the full step until the Armijo condition holds. If the full
+    step holds, it doubles instead while the log-likelihood still rises and the
+    step is shorter than the clip range, so a start crosses an exponential tail
+    toward the boundary in a few iterations rather than one unit at a time.
+    Returns ``(theta, value)`` unchanged if no tried step increases enough.
+    """
+    t = 1.0
+    for _ in range(_HALVINGS):
+        trial = _value(stats, theta + t * step)
+        if trial >= value + _ARMIJO * t * slope:
+            break
+        t /= 2
+    else:
+        return theta, value
+    if t == 1.0:
+        while t * np.abs(step).max() <= _LOG_LIMIT:
+            farther = _value(stats, theta + 2 * t * step)
+            if not farther > trial:
+                break
+            t, trial = 2 * t, farther
+    return theta + t * step, trial
+
+
+def _ascend(stats: PanelStats, theta: np.ndarray, max_iter: int) -> tuple[np.ndarray, float, int, bool]:
+    """Newton iterations from one start: ``(theta, log-likelihood, iterations, converged)``.
+
+    Only free coordinates move: those inside the clip with a nonzero gradient
+    or curvature. A start stops once every free gradient component is at most
+    ``_GTOL``, or once an iteration raises the log-likelihood by at most
+    ``_FTOL`` relative to it.
+    """
+    value = _value(stats, theta)
+    if not math.isfinite(value):
+        return theta, value, 0, False
+    for iteration in range(max_iter):
+        params = _params_at(theta)
+        grad, hess = stats.gradient(params), stats.hessian(params)
+        free = (np.abs(theta) <= _LOG_LIMIT) & ((grad != 0.0) | (np.diag(hess) != 0.0))
+        if not free.any() or np.abs(grad[free]).max() <= _GTOL:
+            return theta, value, iteration, True
+        step = np.zeros(3)
+        step[free] = _newton_step(-hess[np.ix_(free, free)], grad[free])
+        theta, reached = _line_search(stats, theta, value, step, grad @ step)
+        if reached - value <= _FTOL * max(abs(value), abs(reached), 1.0):
+            return theta, reached, iteration + 1, True
+        value = reached
+    return theta, value, max_iter, False
+
+
 def fit(
     panel: EventPanel,
     network: RiskNetwork,
@@ -185,29 +306,20 @@ def fit(
 ) -> FitResult:
     """Maximum-likelihood estimate of (alpha, beta, gamma) from a panel.
 
-    Runs L-BFGS-B with the exact gradient in log-parameter space from
-    ``init`` (default ``ModelParams(0.01, 0.01, 1.0)``) plus ``config.starts``
-    random starts drawn log-uniformly from ``[1e-5, 10]`` per component, one
-    after the other, and keeps the best final value; ties go to the earliest
-    start. ``iterations`` counts the winning start's L-BFGS-B iterations. A
-    panel that never leaves the all-dormant or all-active state pins some
-    parameters to the search boundary, which is reported through
-    ``degenerate`` rather than an exception. ``converged`` reflects the
-    winning start only.
+    Runs safeguarded Newton iterations on the exact gradient and Hessian in
+    log-parameter space from ``init`` (default ``ModelParams(0.01, 0.01, 1.0)``)
+    plus ``config.starts`` random starts drawn log-uniformly from ``[1e-5, 10]``
+    per component, one after the other, and keeps the best final value; ties go
+    to the earliest start. ``iterations`` counts the winning start's Newton
+    iterations, at most ``config.max_iter``. A panel that never leaves the
+    all-dormant or all-active state pins some parameters to the search
+    boundary, which is reported through ``degenerate`` rather than an
+    exception. ``converged`` reflects the winning start only.
     """
-    from scipy.optimize import minimize  # here, so only the fit pays for loading the optimizer
-
     stats = PanelStats(panel, network)
     if init is None:
         init = ModelParams(0.01, 0.01, 1.0)
     degenerate = bool((panel.states == 0).all() or (panel.states == 1).all())
-
-    def objective(theta: np.ndarray) -> float:
-        value = stats.log_likelihood(_params_at(theta))
-        return math.inf if math.isnan(value) else -value
-
-    def slope(theta: np.ndarray) -> np.ndarray:  # the objective is flat where the clip acts
-        return np.where(np.abs(theta) <= _LOG_LIMIT, -stats.gradient(_params_at(theta)), 0.0)
 
     starts = [np.log(np.array(init.as_tuple()))]
     if config.starts:
@@ -215,23 +327,16 @@ def fit(
         box = rng.uniform(math.log(_START_LOW), math.log(_START_HIGH), size=(config.starts, 3))
         starts.extend(box)
 
-    outcomes = [
-        minimize(
-            objective,
-            theta0,
-            jac=slope,
-            method="L-BFGS-B",
-            options={"maxiter": config.max_iter, "ftol": _FTOL, "gtol": _GTOL},
-        )
-        for theta0 in starts
-    ]
-    finite = [result for result in outcomes if math.isfinite(result.fun)]
-    winner = min(finite, key=lambda result: result.fun) if finite else outcomes[0]  # first of ties
+    outcomes = [_ascend(stats, theta0, config.max_iter) for theta0 in starts]
+    finite = [outcome for outcome in outcomes if math.isfinite(outcome[1])]
+    theta, value, iterations, converged = (
+        max(finite, key=lambda outcome: outcome[1]) if finite else outcomes[0]  # first of ties
+    )
     return FitResult(
-        params=_params_at(winner.x),
-        log_likelihood=-float(winner.fun),
-        iterations=int(winner.nit),
-        converged=bool(winner.success),
+        params=_params_at(theta),
+        log_likelihood=value,
+        iterations=iterations,
+        converged=converged,
         degenerate=degenerate,
         n_starts=len(starts),
     )

@@ -840,6 +840,12 @@ class TestImportFootprint:
         loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
         assert loaded == []
 
+    def test_fit_loads_no_optimizer(self, tmp_path):
+        network, panel = _generate(tmp_path)
+        argv = ["fit", "--network", str(network), "--panel", str(panel), "--output", str(tmp_path / "fit.json")]
+        loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
+        assert loaded == ["scipy.sparse"]  # the transition counts use the sparse adjacency
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation_works(self):

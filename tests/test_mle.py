@@ -1,4 +1,4 @@
-"""Panel log-likelihood, analytic gradient, and maximum-likelihood fitting."""
+"""Panel log-likelihood, analytic gradient and Hessian, and maximum-likelihood fitting."""
 
 import math
 
@@ -17,6 +17,7 @@ from carpnet import (
     log_likelihood,
     log_likelihood_gradient,
 )
+from carpnet.dynamics import philox_stream
 from tests.helpers import count_based_log_likelihood, make_network, small_graphs
 
 HAND_PARAMS = ModelParams(0.2, 0.1, 0.9)
@@ -175,6 +176,47 @@ class TestCompactedStatistics:
         params = ModelParams(*np.exp([700.0, 700.0, 0.0]))
         assert math.isfinite(stats.log_likelihood(params))
         assert np.all(np.isfinite(stats.gradient(params)))
+        assert_hessian_matches_gradient_differences(stats, np.array([700.0, 700.0, 0.0]))
+        # just inside the clip the exponent still overflows, and every axis has central differences
+        assert_hessian_matches_gradient_differences(stats, np.array([699.9, 699.9, 0.0]))
+
+    @settings(deadline=None)
+    @given(random_panels(), log_space_points(700.0))
+    def test_hessian_is_symmetric_finite_and_matches_central_differences(self, case, theta):
+        network, panel = case
+        stats = PanelStats(panel, network)
+        if not math.isfinite(stats.log_likelihood(ModelParams(*np.exp(theta)))):
+            return
+        assert_hessian_matches_gradient_differences(stats, theta)
+
+    def test_hessian_of_the_zero_activation_panel(self):
+        net = make_network([0.4, 0.5], [(0, 1)])
+        stats = PanelStats(EventPanel(np.zeros((2, 10), dtype=int)), net)
+        hess = stats.hessian(HAND_PARAMS)
+        # the log-likelihood is alpha w00 + beta (w00 @ k): linear, so H is diag(gradient)
+        assert np.array_equal(hess, np.diag(stats.gradient(HAND_PARAMS)))
+        assert_hessian_matches_gradient_differences(stats, np.log(np.array(HAND_PARAMS.as_tuple())))
+
+
+def assert_hessian_matches_gradient_differences(stats, theta, h=1e-4):
+    """``stats.hessian`` is finite, symmetric and matches central differences of the gradient."""
+    hess = stats.hessian(ModelParams(*np.exp(theta)))
+    assert hess.shape == (3, 3)
+    assert np.all(np.isfinite(hess))
+    assert np.array_equal(hess, hess.T)
+    assert hess[0, 2] == hess[1, 2] == 0.0
+    for axis in range(3):
+        if abs(theta[axis]) + h > 700.0:
+            continue
+        up, down = theta.copy(), theta.copy()
+        up[axis] += h
+        down[axis] -= h
+        g_up = stats.gradient(ModelParams(*np.exp(up)))
+        g_down = stats.gradient(ModelParams(*np.exp(down)))
+        numeric = (g_up - g_down) / (2 * h)
+        # truncation O(h^2) per transition, plus the rounding of two huge gradients
+        slack = 1e-6 * (np.abs(numeric) + stats.n_transitions) + 1e-13 * (np.abs(g_up) + np.abs(g_down)) / h
+        assert np.all(np.abs(hess[:, axis] - numeric) <= slack)
 
 
 class TestFit:
@@ -210,8 +252,71 @@ class TestFit:
         assert first.params == second.params
         assert first.log_likelihood == second.log_likelihood
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("nodes, edges, months", [(30, 275, 120), (50, 515, 156)])
+    def test_scores_at_least_an_lbfgsb_reference(self, nodes, edges, months, seed):
+        net, panel = generate_synthetic(nodes, edges, (0.5, 0.8), ModelParams(5.3e-3, 3e-3, 2.5), months, seed=seed)
+        assert_fit_scores_at_least_an_lbfgsb_reference(panel, net)
+
+    @settings(deadline=None, max_examples=40)
+    @given(random_panels())
+    def test_scores_at_least_an_lbfgsb_reference_on_small_panels(self, case):
+        # short random panels often put the supremum on the boundary, or have several maxima
+        network, panel = case
+        assert_fit_scores_at_least_an_lbfgsb_reference(panel, network)
+
+    def test_edgeless_network_holds_beta_at_its_start(self):
+        rng = np.random.default_rng(3)
+        net = make_network(rng.uniform(0.3, 0.7, 4))
+        panel = EventPanel(rng.integers(0, 2, size=(4, 30)))
+        init = ModelParams(0.05, 0.01, 1.0)
+        result = fit(panel, net, init=init, config=FitConfig(starts=0))
+        assert result.converged
+        assert result.params.beta == np.exp(np.log(init.beta))  # no step moves ln beta
+        assert result.params.alpha != init.alpha
+
+    def test_all_active_panel_is_flagged_degenerate(self):
+        net = make_network([0.4, 0.5, 0.6], [(0, 1), (1, 2)])
+        result = fit(EventPanel(np.ones((3, 20), dtype=int)), net, config=FitConfig(starts=2))
+        assert result.degenerate
+        assert result.converged
+        assert result.log_likelihood > -1e-12  # the supremum 0 is approached as gamma grows
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             FitConfig(starts=-1)
         with pytest.raises(ValidationError):
             FitConfig(max_iter=0)
+
+
+def assert_fit_scores_at_least_an_lbfgsb_reference(panel, network):
+    """``fit`` converges, no lower than scipy's L-BFGS-B from the same starts less 1e-9 relative.
+
+    The reference starts from the default init and the 5 points ``fit`` draws
+    log-uniformly from [1e-5, 10] per component with seed 0, with the
+    tolerances ``ftol=1e-12`` and ``gtol=1e-8``.
+    """
+    from scipy.optimize import minimize
+
+    stats = PanelStats(panel, network)
+
+    def params_at(theta):
+        return ModelParams(*np.exp(np.clip(theta, -700.0, 700.0)))
+
+    def objective(theta):
+        value = stats.log_likelihood(params_at(theta))
+        return math.inf if math.isnan(value) else -value
+
+    def slope(theta):
+        return np.where(np.abs(theta) <= 700.0, -stats.gradient(params_at(theta)), 0.0)
+
+    config = FitConfig()
+    box = philox_stream(config.seed, 0).uniform(math.log(1e-5), math.log(10.0), size=(config.starts, 3))
+    options = {"maxiter": config.max_iter, "ftol": 1e-12, "gtol": 1e-8}
+    reference = max(
+        -minimize(objective, theta, jac=slope, method="L-BFGS-B", options=options).fun
+        for theta in [np.log([0.01, 0.01, 1.0]), *box]
+    )
+    result = fit(panel, network, config=config)
+    assert result.converged
+    assert result.log_likelihood >= reference - 1e-9 * max(1.0, abs(reference))
