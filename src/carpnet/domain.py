@@ -58,7 +58,7 @@ if TYPE_CHECKING:
 
 DEFAULT_EPSILON = 0.01
 
-# RiskNetwork.neighbor_sums takes the dense product once 2E * DENSE_PAIRS >= R**2
+# RiskNetwork.neighbor_sums and neighbor_counts take the dense product once 2E * DENSE_PAIRS >= R**2
 DENSE_PAIRS = 20
 
 _MONTH_LABEL = re.compile(r"\d{4}-(0[1-9]|1[0-2])")
@@ -318,13 +318,14 @@ class RiskNetwork:
 
     @property
     def dense_products(self) -> bool:
-        """Whether :meth:`neighbor_sums` multiplies by ``adjacency_matrix``.
+        """Whether :meth:`neighbor_sums` and :meth:`neighbor_counts` multiply by a dense matrix.
 
-        It does once at least one ordered pair of risks in ``DENSE_PAIRS``
+        They do once at least one ordered pair of risks in ``DENSE_PAIRS``
         (20, so 5%) is an edge, ``2E * DENSE_PAIRS >= R**2``. For one
         probability row the dense product overtook the segment sum at
         ``2E * 14 = R**2`` for R=1000 and at ``2E * 30 = R**2`` for R=300
-        (2-core Xeon, numpy 2.4, one OpenBLAS thread).
+        (2-core Xeon, numpy 2.4, one OpenBLAS thread). On a dense graph no
+        product needs ``adjacency_csr``, so no command loads scipy.
         """
         return 2 * self.edge_count * DENSE_PAIRS >= self.size**2
 
@@ -344,21 +345,43 @@ class RiskNetwork:
         # bincount gives int64 zeros when there are no entries at all
         return np.bincount(rows, weights=p[cols], minlength=self.size).astype(np.float64, copy=False)
 
+    def neighbor_counts(self, bits: np.ndarray) -> np.ndarray:
+        """Each risk's exact int32 count of active neighbors in the int8 0/1 ``bits``.
+
+        ``bits`` is a state of R bits or a (B, R) block of states, risks on the
+        last axis. Dense graphs (``dense_products``) multiply by
+        ``adjacency_float32``, whose sums of 0/1 terms are exact below 2**24,
+        and a degree is below R; sparse ones by the int32 ``adjacency_csr``.
+        """
+        if self.dense_products:
+            return (bits @ self.adjacency_float32).astype(np.int32)
+        return (self.adjacency_csr @ bits.T).T
+
+    def _dense(self, dtype: type) -> np.ndarray:
+        mat = np.zeros((self.size, self.size), dtype=dtype)
+        mat[self._neighbor_entries] = 1
+        mat.setflags(write=False)
+        return mat
+
     @cached_property
     def adjacency_matrix(self) -> np.ndarray:
         """Dense float64 0/1 adjacency: the knockout blocks' operand, and ``neighbor_sums``' on dense graphs."""
-        mat = np.zeros((self.size, self.size))
-        mat[self._neighbor_entries] = 1.0
-        mat.setflags(write=False)
-        return mat
+        return self._dense(np.float64)
+
+    @cached_property
+    def adjacency_float32(self) -> np.ndarray:
+        """Dense float32 0/1 adjacency: ``neighbor_counts``' operand on dense graphs."""
+        return self._dense(np.float32)
 
     @cached_property
     def adjacency_csr(self) -> sparse.csr_matrix:
         """Symmetric int32 CSR adjacency over the arrays of ``neighbor_arrays``.
 
-        Its product with 0/1 state bits counts active neighbors exactly at
-        any degree. scipy.sparse is imported here, on first use, so importing
-        carpnet does not load it.
+        ``neighbor_counts``' operand on sparse graphs, and the graph
+        statistics'. Its product with 0/1 state bits counts active neighbors
+        exactly at any degree. scipy.sparse is imported here, on first use,
+        so importing carpnet does not load it, and neither does any command
+        on a dense graph.
         """
         from scipy import sparse
 

@@ -134,7 +134,8 @@ def prob_activate(risk_id: int, state: NetworkState, network: RiskNetwork, param
     if not (0 <= risk_id < network.size):
         raise ValidationError(f"risk id {risk_id} outside 0..{network.size - 1}")
     _check_state(state, network)
-    k = int((network.adjacency_csr @ state.bits)[risk_id])
+    indptr, indices = network.neighbor_arrays
+    k = int(state.bits[indices[indptr[risk_id]:indptr[risk_id + 1]]].sum())
     likelihood = network.risks[risk_id].normalized_likelihood
     return float(activation_prob(likelihood, params.alpha + k * params.beta))
 
@@ -144,11 +145,12 @@ def _step_block(bits: np.ndarray, uniforms: np.ndarray, network: RiskNetwork, pa
 
     Row b of ``bits`` is one run's 0/1 state and row b of ``uniforms`` its R
     draws for this step; a 1-D state with R uniforms is the B = 1 case. Active
-    neighbors are counted exactly through the sparse adjacency, so the result
-    is the same at any degree. Inputs are not validated: callers own the
-    shapes and the 0/1 contract.
+    neighbors are counted exactly by :meth:`RiskNetwork.neighbor_counts` (a
+    dense product on dense graphs, the sparse one otherwise), as int32, so the
+    result is the same at any degree and on either operand. Inputs are not
+    validated: callers own the shapes and the 0/1 contract.
     """
-    k = (network.adjacency_csr @ bits.T).T
+    k = network.neighbor_counts(bits)
     likelihoods = network.likelihoods
     p_act = activation_prob(likelihoods, params.alpha + params.beta * k)
     p_con = activation_prob(likelihoods, params.gamma)

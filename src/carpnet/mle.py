@@ -74,8 +74,9 @@ class PanelStats:
         old, new = states[:, :-1], states[:, 1:]
         size = network.size
         width = int(network.degrees.max(initial=0)) + 1
-        # flat (risk, k) index, k = active neighbors at the earlier month, counted exactly
-        cell = (network.adjacency_csr @ states)[:, :-1]
+        # flat (risk, k) index, k = active neighbors at the earlier month, counted exactly as
+        # int32 by the network's density rule (months on the first axis of neighbor_counts)
+        cell = network.neighbor_counts(old.T).T
         cell += np.arange(0, size * width, width, dtype=np.int32)[:, None]
         dormant = old == 0
         self.c01 = np.bincount(cell[dormant & (new == 1)], minlength=size * width).reshape(size, width)

@@ -57,9 +57,14 @@ def generate_synthetic(
         raise ValidationError(f"panel length must be at least 1, got {panel_length}")
 
     graph_rng = philox_stream(seed, _GRAPH_STREAM)
-    upper_i, upper_j = np.triu_indices(nodes, k=1)
-    chosen = graph_rng.choice(max_edges, size=edges, replace=False) if edges else np.array([], dtype=int)
-    edge_list = tuple((int(upper_i[e]), int(upper_j[e])) for e in np.sort(chosen))
+    chosen = graph_rng.choice(max_edges, size=edges, replace=False) if edges else np.zeros(0, dtype=np.int64)
+    chosen.sort()
+    # pair ids number the upper triangle row by row; row i's first pair (i, i + 1) has id starts[i]
+    rows = np.arange(nodes, dtype=np.int64)
+    starts = rows * (2 * nodes - rows - 1) // 2
+    upper_i = np.searchsorted(starts, chosen, side="right") - 1
+    upper_j = chosen - starts[upper_i] + upper_i + 1
+    edge_list = tuple(zip(upper_i.tolist(), upper_j.tolist()))
 
     likelihood_rng = philox_stream(seed, _LIKELIHOOD_STREAM)
     likelihoods = likelihood_rng.uniform(lo, hi, size=nodes)

@@ -75,6 +75,11 @@ def dense_adjacency(network: RiskNetwork) -> np.ndarray:
     return adjacency
 
 
+def python_neighbor_counts(network: RiskNetwork, bits) -> list[int]:
+    """Active-neighbor count of every risk by plain Python summation."""
+    return [sum(int(bits[j]) for j in network.neighbors(i)) for i in range(network.size)]
+
+
 def random_graph_edges(rng: np.random.Generator, nodes: int, edges: int):
     """Uniform simple graph with an exact edge count, as an edge tuple."""
     max_edges = nodes * (nodes - 1) // 2

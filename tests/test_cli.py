@@ -815,7 +815,7 @@ class TestTableCells:
         )
 
 
-HEAVY_MODULES = ("networkx", "scipy.optimize", "scipy.sparse")
+HEAVY_MODULES = ("networkx", "scipy", "scipy.optimize", "scipy.sparse")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -841,10 +841,32 @@ class TestImportFootprint:
         assert loaded == []
 
     def test_fit_loads_no_optimizer(self, tmp_path):
-        network, panel = _generate(tmp_path)
+        network, panel = _generate(tmp_path)  # dense: 2E * 20 >= R**2
         argv = ["fit", "--network", str(network), "--panel", str(panel), "--output", str(tmp_path / "fit.json")]
         loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
-        assert loaded == ["scipy.sparse"]  # the transition counts use the sparse adjacency
+        assert loaded == []  # dense graphs count active neighbors through a dense product
+
+    def test_fit_on_a_sparse_network_loads_only_the_sparse_module(self, tmp_path):
+        network, panel = _generate(tmp_path, nodes=30, edges=20)  # sparse: 2E * 20 < R**2
+        argv = ["fit", "--network", str(network), "--panel", str(panel), "--output", str(tmp_path / "fit.json")]
+        loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
+        assert loaded == ["scipy", "scipy.sparse"]  # sparse graphs count through the int32 CSR
+
+    @pytest.mark.parametrize("command", ["generate", "simulate", "temporal-influence"])
+    def test_monte_carlo_commands_on_a_dense_network_load_no_scipy(self, tmp_path, command):
+        network, _ = _generate(tmp_path)  # dense: 2E * 20 >= R**2
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "generate": ["generate", "--nodes", "10", "--edges", "20", "--likelihood-range", "0.45", "0.8",
+                         *PARAM_FLAGS, "--panel-length", "40", "--seed", "11",
+                         "--network-out", str(tmp_path / "net2.json"), "--panel-out", out],
+            "simulate": ["simulate", "--network", str(network), *PARAM_FLAGS, "--runs", "20", "--horizon", "10",
+                         "--output", out],
+            "temporal-influence": ["temporal-influence", "--network", str(network), *PARAM_FLAGS, "--source", "0",
+                                   "--runs", "10", "--horizon", "5", "--baseline", "steady", "--output", out],
+        }[command]
+        loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
+        assert loaded == []
 
 
 class TestConsoleEntryPoint:

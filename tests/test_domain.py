@@ -28,6 +28,7 @@ from tests.helpers import (
     dense_adjacency,
     make_network,
     messy_edge_lists,
+    python_neighbor_counts,
     random_graph_edges,
     small_graphs,
 )
@@ -245,6 +246,8 @@ class TestAdjacencyViews:
         assert net.adjacency == tuple(tuple(sorted(ns)) for ns in expected)
         assert net.adjacency_matrix.dtype == np.float64
         assert np.array_equal(net.adjacency_matrix, dense)
+        assert net.adjacency_float32.dtype == np.float32
+        assert np.array_equal(net.adjacency_float32, dense)
         csr = net.adjacency_csr
         assert csr.dtype == np.int32
         assert csr.shape == (size, size)
@@ -295,6 +298,50 @@ class TestNeighborSums:
         p = np.array(data.draw(st.lists(unit, min_size=rows * size, max_size=rows * size))).reshape(rows, size)
         self._check(net, p[0])
         self._check(net, p)
+
+
+NEIGHBOR_COUNT_CASES = {  # name -> (size, edges, dense_products); the first two reach degree 299 and 200
+    "complete-300": (300, tuple(itertools.combinations(range(300), 2)), True),
+    "star-200-leaves": (201, tuple((0, j) for j in range(1, 201)), False),
+    "random-dense": (60, random_graph_edges(np.random.default_rng(4), 60, 400), True),  # 2E * 20 >= R**2
+    "random-sparse": (200, random_graph_edges(np.random.default_rng(5), 200, 400), False),
+    "empty-graph": (5, (), False),
+}
+
+
+class TestNeighborCounts:
+    """``neighbor_counts`` against a pure-Python count on both sides of the density rule."""
+
+    @pytest.mark.parametrize("size, edges, dense", NEIGHBOR_COUNT_CASES.values(), ids=list(NEIGHBOR_COUNT_CASES))
+    def test_cases_match_the_python_count(self, size, edges, dense):
+        net = make_network([0.5] * size, edges)
+        assert net.dense_products is dense
+        rng = np.random.default_rng(size)
+        bits = np.vstack([np.ones(size), np.zeros(size), rng.random((2, size)) < 0.5]).astype(np.int8)
+        counts = net.neighbor_counts(bits)
+        assert counts.dtype == np.int32
+        assert counts.tolist() == [python_neighbor_counts(net, row) for row in bits]
+        assert counts[0].tolist() == net.degrees.tolist()  # every neighbor active
+        one = net.neighbor_counts(bits[3])
+        assert one.dtype == np.int32
+        assert one.tolist() == counts[3].tolist()
+        assert net.neighbor_counts(bits.T.copy().T).tolist() == counts.tolist()  # a strided block
+        # dense graphs count through the float32 view, never the float64 or CSR ones
+        assert "adjacency_matrix" not in net.__dict__
+        assert ("adjacency_float32" in net.__dict__) is dense
+        assert ("adjacency_csr" in net.__dict__) is not dense
+
+    @settings(deadline=None, max_examples=200)
+    @given(small_graphs(), st.data())
+    def test_matches_the_python_count(self, graph, data):
+        size, edges = graph
+        net = make_network([0.5] * size, edges)
+        rows = data.draw(st.integers(min_value=1, max_value=3))
+        bits = np.array(data.draw(st.lists(st.sampled_from((0, 1)), min_size=rows * size, max_size=rows * size)))
+        bits = bits.astype(np.int8).reshape(rows, size)
+        counts = net.neighbor_counts(bits)
+        assert counts.dtype == np.int32
+        assert counts.tolist() == [python_neighbor_counts(net, row) for row in bits]
 
 
 class TestEdgeCanonicalization:

@@ -15,7 +15,7 @@ from carpnet import (
     prob_activate,
     step,
 )
-from tests.helpers import PARAMS_SLOW, make_network
+from tests.helpers import PARAMS_SLOW, make_network, python_neighbor_counts
 
 likelihood_values = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 exponent_values = st.floats(min_value=1e-4, max_value=50.0)
@@ -167,11 +167,6 @@ class TestStep:
         net = make_network([0.4, 0.6])
         with pytest.raises(ValidationError):
             step(NetworkState.dormant(3), net, ModelParams(0.1, 0.1, 1.0), philox_stream(0))
-
-
-def python_neighbor_counts(network, bits):
-    """Active-neighbor count of every risk by plain Python summation."""
-    return [sum(int(bits[j]) for j in network.neighbors(i)) for i in range(network.size)]
 
 
 def python_transition_counts(network, states):
