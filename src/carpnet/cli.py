@@ -99,24 +99,44 @@ class _MatrixRow(NamedTuple):
         return f"{self.label}," + ",".join(map(repr, cells)) + "\n"
 
 
-def _write_table(path: str, fmt: str, header: list[str], rows: Iterable[list | _MatrixRow]) -> None:
-    """Write ``rows``, cell lists and ``_MatrixRow`` items, into the temp file as they come.
+class _CountRow(NamedTuple):
+    """A labelled row of counts out of ``runs`` as the table row ``[label, *(counts / runs)]``.
+
+    Every cell is one of the ``runs + 1`` frequencies ``c / runs``, so it is
+    looked up by its count: the float in ``values``, its ``repr`` in the
+    object array ``texts``.
+    """
+
+    label: int
+    counts: np.ndarray
+    values: np.ndarray
+    texts: np.ndarray
+
+    def rows(self) -> list[list]:
+        return [[self.label, *self.values[self.counts].tolist()]]
+
+    def csv(self) -> str:
+        return f"{self.label}," + ",".join(self.texts[self.counts].tolist()) + "\n"
+
+
+def _write_table(path: str, fmt: str, header: list[str], rows: Iterable[list | _MatrixRow | _CountRow]) -> None:
+    """Write ``rows``, cell lists and ``_MatrixRow`` or ``_CountRow`` items, into the temp file as they come.
 
     Only JSON holds the whole table.
     """
     with atomic_open(path) as handle:
         if fmt == "json":
-            cells = (item.rows() if isinstance(item, _MatrixRow) else [item] for item in rows)
+            cells = ([item] if isinstance(item, list) else item.rows() for item in rows)
             json.dump({"columns": header, "rows": list(chain.from_iterable(cells))}, handle, indent=2)
             handle.write("\n")
         else:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
             for item in rows:  # floats by repr, None as an empty field
-                if isinstance(item, _MatrixRow):
-                    handle.write(item.csv())
-                else:
+                if isinstance(item, list):
                     writer.writerow(item)
+                else:
+                    handle.write(item.csv())
 
 
 def _write_sidecar(output: str, meta: dict) -> None:
@@ -198,7 +218,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     ``args.compute(args, network, params)`` returns ``(header, rows, result)``
     after all its numeric work; ``rows`` is any iterable of cell lists and
-    ``_MatrixRow`` items, consumed once while the table is written. A
+    ``_MatrixRow`` or ``_CountRow`` items, consumed once while the table is written. A
     ``result`` of None leaves the sidecar without one.
     """
     network = load_network(args.network)
@@ -264,13 +284,20 @@ def _simulate(args: argparse.Namespace, network, params: ModelParams):
         initial_state=args.initial_state,
         threads=_resolve_threads(args.threads),
     )
-    frequencies = simulate(network, params, config).frequencies
+    # the mean-field solve first: on a dense graph its float64 matrix then also counts the runs' neighbors
     steady = fixed_point(network, params)
+    counts = simulate(network, params, config).counts
     if not steady.converged:
         print("mean-field solve did not converge, 'inf' row omitted", file=sys.stderr)
     tail = [_MatrixRow("inf", steady.p_hat)] if steady.converged else []
     header = ["t"] + [f"risk_{r.id}" for r in network.risks]
-    rows = chain((_MatrixRow(t, row) for t, row in enumerate(frequencies.T)), tail)
+    if args.runs < counts.size:  # fewer frequencies than cells: format each frequency once
+        values = np.arange(args.runs + 1) / float(args.runs)
+        texts = np.array(list(map(repr, values.tolist())), dtype=object)
+        body = (_CountRow(t, column, values, texts) for t, column in enumerate(counts.T))
+    else:
+        body = (_MatrixRow(t, column / float(args.runs)) for t, column in enumerate(counts.T))
+    rows = chain(body, tail)
     return header, rows, {"meanfield_row": bool(steady.converged)}
 
 

@@ -63,6 +63,7 @@ DENSE_PAIRS = 20
 
 _MONTH_LABEL = re.compile(r"\d{4}-(0[1-9]|1[0-2])")
 _BITS = frozenset(("0", "1"))  # the only panel cells
+_PLAIN_HEADER = re.compile(rb"[ !#-~]+")  # printable ASCII but the quote
 
 
 class Category(Enum):
@@ -324,8 +325,9 @@ class RiskNetwork:
         (20, so 5%) is an edge, ``2E * DENSE_PAIRS >= R**2``. For one
         probability row the dense product overtook the segment sum at
         ``2E * 14 = R**2`` for R=1000 and at ``2E * 30 = R**2`` for R=300
-        (2-core Xeon, numpy 2.4, one OpenBLAS thread). On a dense graph no
-        product needs ``adjacency_csr``, so no command loads scipy.
+        (2-core Xeon, numpy 2.4, one OpenBLAS thread). On sparse graphs both
+        work over ``neighbor_arrays`` with numpy alone, so no count or sum
+        builds ``adjacency_csr`` and no command loads scipy.
         """
         return 2 * self.edge_count * DENSE_PAIRS >= self.size**2
 
@@ -349,13 +351,37 @@ class RiskNetwork:
         """Each risk's exact int32 count of active neighbors in the int8 0/1 ``bits``.
 
         ``bits`` is a state of R bits or a (B, R) block of states, risks on the
-        last axis. Dense graphs (``dense_products``) multiply by
-        ``adjacency_float32``, whose sums of 0/1 terms are exact below 2**24,
-        and a degree is below R; sparse ones by the int32 ``adjacency_csr``.
+        last axis. Dense graphs (``dense_products``) multiply by a dense 0/1
+        matrix, whose sums of 0/1 terms are exact: ``adjacency_matrix`` once it
+        is built (by the mean-field sums or the knockouts), so a network keeps
+        one dense matrix, and otherwise ``adjacency_float32``, exact below
+        2**24 where a degree is below R. Sparse graphs scatter over the active
+        cells (:meth:`_scatter`).
         """
         if self.dense_products:
-            return (bits @ self.adjacency_float32).astype(np.int32)
-        return (self.adjacency_csr @ bits.T).T
+            matrix = self.__dict__.get("adjacency_matrix")
+            return (bits @ (self.adjacency_float32 if matrix is None else matrix)).astype(np.int32)
+        return self._scatter(np.flatnonzero(bits != 0), bits.size).reshape(bits.shape)
+
+    def _scatter(self, cells: np.ndarray, slots: int, signs: np.ndarray | None = None) -> np.ndarray:
+        """The flat int32 change of ``slots`` active-neighbor counts when the flat ``cells`` change.
+
+        Counts and cells are laid out as rows of R, a cell being
+        ``row * R + risk``. Each cell adds its sign, +1 (turned on, the
+        default) or -1 (turned off), to the count of every neighbor of its
+        risk in its row: ``np.repeat`` over the cells' degrees lays out every
+        (cell, neighbor) pair, and one ``bincount`` sums them exactly.
+        """
+        indptr, indices = self.neighbor_arrays
+        risks = cells % self.size
+        starts = indptr[risks]
+        degrees = indptr[risks + 1] - starts
+        ends = np.cumsum(degrees)
+        # the position in indices of each cell's neighbors: starts[c], starts[c] + 1, ... for cell c
+        positions = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + degrees, degrees)
+        targets = np.repeat(cells - risks, degrees) + indices[positions]
+        weights = None if signs is None else np.repeat(signs, degrees)
+        return np.bincount(targets, weights, minlength=slots).astype(np.int32)
 
     def _dense(self, dtype: type) -> np.ndarray:
         mat = np.zeros((self.size, self.size), dtype=dtype)
@@ -370,18 +396,16 @@ class RiskNetwork:
 
     @cached_property
     def adjacency_float32(self) -> np.ndarray:
-        """Dense float32 0/1 adjacency: ``neighbor_counts``' operand on dense graphs."""
+        """Dense float32 0/1 adjacency: ``neighbor_counts``' operand on dense graphs without ``adjacency_matrix``."""
         return self._dense(np.float32)
 
     @cached_property
     def adjacency_csr(self) -> sparse.csr_matrix:
         """Symmetric int32 CSR adjacency over the arrays of ``neighbor_arrays``.
 
-        ``neighbor_counts``' operand on sparse graphs, and the graph
-        statistics'. Its product with 0/1 state bits counts active neighbors
-        exactly at any degree. scipy.sparse is imported here, on first use,
-        so importing carpnet does not load it, and neither does any command
-        on a dense graph.
+        The operand of the graph statistics ``average_clustering`` and
+        ``diameter``, which no command uses. scipy.sparse is imported here, on
+        first use, so neither importing carpnet nor any command loads it.
         """
         from scipy import sparse
 
@@ -594,8 +618,48 @@ def save_panel(panel: EventPanel, path: str | Path) -> None:
     atomic_write_text(path, ",".join(panel.labels) + "\n" + text.tobytes().decode("ascii"))
 
 
+def _saved_panel(data: bytes) -> tuple[list[str], np.ndarray] | None:
+    """The header labels and (risks, months) 0/1 digits of a file in ``save_panel``'s exact layout, else None.
+
+    That layout is a header line of printable ASCII without quotes, whose
+    labels fit the csv module's field limit, then rows ``d,d,...,d\\n`` of 0/1
+    digits as wide as the header. One reshape of the body checks every row.
+    """
+    end = data.find(b"\n")
+    if end < 1 or not _PLAIN_HEADER.fullmatch(data[:end]):
+        return None
+    labels = data[:end].decode("ascii").split(",")
+    body = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
+    if body.size == 0 or body.size % (2 * len(labels)) or max(map(len, labels)) > csv.field_size_limit():
+        return None
+    text = body.reshape(-1, 2 * len(labels))
+    digits = text[:, 0::2] - np.uint8(ord("0"))  # wraps, so every byte but "0" and "1" exceeds 1
+    separators = np.full(len(labels), ord(","), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    if (digits > 1).any() or (text[:, 1::2] != separators).any():
+        return None
+    return labels, digits
+
+
 def load_panel(path: str | Path) -> EventPanel:
-    """Load a CSV panel; calendar labels in the header are recovered if present."""
+    """Load a CSV panel; calendar labels in the header are recovered if present.
+
+    A file as ``save_panel`` writes it is read as bytes and checked as a
+    whole; any other file goes through the csv module, which also accepts
+    CRLF line ends, blank lines and quoted labels, and names the first bad
+    row or cell.
+    """
+    with open(path, "rb") as handle:
+        saved = _saved_panel(handle.read())
+    if saved is None:
+        return _read_panel_csv(path)
+    labels, digits = saved
+    start = labels[0] if _MONTH_LABEL.fullmatch(labels[0]) else None
+    return EventPanel(digits, start_label=start)
+
+
+def _read_panel_csv(path: str | Path) -> EventPanel:
+    """Load a CSV panel of any layout the csv module reads, row by row."""
     with open(path, newline="", encoding="utf-8") as handle:
         try:
             rows = [row for row in csv.reader(handle) if row]

@@ -140,21 +140,34 @@ def prob_activate(risk_id: int, state: NetworkState, network: RiskNetwork, param
     return float(activation_prob(likelihood, params.alpha + k * params.beta))
 
 
-def _step_block(bits: np.ndarray, uniforms: np.ndarray, network: RiskNetwork, params: ModelParams) -> np.ndarray:
+def _step_block(
+    bits: np.ndarray,
+    uniforms: np.ndarray,
+    network: RiskNetwork,
+    params: ModelParams,
+    k: np.ndarray | None = None,
+) -> np.ndarray:
     """One synchronous update of a (B × R) block of states against (B × R) uniforms.
 
     Row b of ``bits`` is one run's 0/1 state and row b of ``uniforms`` its R
-    draws for this step; a 1-D state with R uniforms is the B = 1 case. Active
-    neighbors are counted exactly by :meth:`RiskNetwork.neighbor_counts` (a
-    dense product on dense graphs, the sparse one otherwise), as int32, so the
-    result is the same at any degree and on either operand. Inputs are not
-    validated: callers own the shapes and the 0/1 contract.
+    draws for this step; a 1-D state with R uniforms is the B = 1 case.
+    ``k`` is the exact int32 count of active neighbors in ``bits``, carried
+    from step to step: the cells that flip add their scatter
+    (:meth:`RiskNetwork._scatter`) to it in place, so it counts the new state.
+    Without ``k`` the counts come from :meth:`RiskNetwork.neighbor_counts`.
+    Either way they are exact, so the result is the same at any degree and
+    on any operand. Inputs are not validated: callers own the shapes and the
+    0/1 contract.
     """
-    k = network.neighbor_counts(bits)
     likelihoods = network.likelihoods
-    p_act = activation_prob(likelihoods, params.alpha + params.beta * k)
+    counts = network.neighbor_counts(bits) if k is None else k
+    p_act = activation_prob(likelihoods, params.alpha + params.beta * counts)
     p_con = activation_prob(likelihoods, params.gamma)
-    return (uniforms < np.where(bits == 0, p_act, p_con)).view(np.int8)
+    new = (uniforms < np.where(bits == 0, p_act, p_con)).view(np.int8)
+    if k is not None:
+        cells = np.flatnonzero(new != bits)
+        k += network._scatter(cells, k.size, new.ravel()[cells] * 2 - 1).reshape(k.shape)  # +1 on, -1 off
+    return new
 
 
 def step(state: NetworkState, network: RiskNetwork, params: ModelParams, rng: np.random.Generator) -> NetworkState:

@@ -70,19 +70,18 @@ class PanelStats:
             )
         if panel.n_steps < 2:
             raise ValidationError("likelihood evaluation needs a panel with at least 2 months")
-        states = panel.states
-        old, new = states[:, :-1], states[:, 1:]
+        months = np.ascontiguousarray(panel.states.T)  # row t is month t's state
+        old, new = months[:-1], months[1:]
         size = network.size
         width = int(network.degrees.max(initial=0)) + 1
-        # flat (risk, k) index, k = active neighbors at the earlier month, counted exactly as
-        # int32 by the network's density rule (months on the first axis of neighbor_counts)
-        cell = network.neighbor_counts(old.T).T
-        cell += np.arange(0, size * width, width, dtype=np.int32)[:, None]
+        # flat (risk, k) index, k = active neighbors at the earlier month, counted exactly as int32
+        cell = _month_counts(old, network)
+        cell += np.arange(0, size * width, width, dtype=np.int32)
         dormant = old == 0
         self.c01 = np.bincount(cell[dormant & (new == 1)], minlength=size * width).reshape(size, width)
         self.c00 = np.bincount(cell[dormant & (new == 0)], minlength=size * width).reshape(size, width)
-        self.n11 = ((old == 1) & (new == 1)).sum(axis=1)
-        self.n10 = ((old == 1) & (new == 0)).sum(axis=1)
+        self.n11 = ((old == 1) & (new == 1)).sum(axis=0)
+        self.n10 = ((old == 1) & (new == 0)).sum(axis=0)
         self.k_values = np.arange(width, dtype=np.float64)
         y = np.log1p(-network.likelihoods)  # strictly negative
         self.log_survival = y
@@ -157,6 +156,22 @@ class PanelStats:
         # below exp's range gives exactly that and leaves every finite u's f unchanged
         u01 = np.maximum(self._y01 * e01, -1e3)
         return u01, _bounded_slope(u01), alpha / e01, beta * self._k01 / e01
+
+
+def _month_counts(months: np.ndarray, network: RiskNetwork) -> np.ndarray:
+    """The (T, R) int32 active-neighbor counts of the T states in the rows of ``months``.
+
+    Dense graphs take one product over every month. On sparse ones the
+    months change little, so each month's counts are the previous month's
+    plus the scatter of the risks that changed: one scatter of every change
+    from an all-dormant month -1, then a running sum over the months.
+    """
+    if network.dense_products:
+        return network.neighbor_counts(months)
+    changes = np.diff(months, axis=0, prepend=np.zeros((1, network.size), dtype=months.dtype))
+    cells = np.flatnonzero(changes != 0)
+    counts = network._scatter(cells, changes.size, changes.ravel()[cells]).reshape(changes.shape)
+    return np.cumsum(counts, axis=0, out=counts)
 
 
 def _bounded_slope(u: np.ndarray) -> np.ndarray:

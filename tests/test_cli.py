@@ -13,7 +13,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from carpnet import ModelParams, ValidationError, fixed_point, load_network, load_panel, save_network
+from carpnet import (
+    ModelParams,
+    SimulationConfig,
+    ValidationError,
+    fixed_point,
+    load_network,
+    load_panel,
+    save_network,
+    simulate,
+)
 from carpnet import cli
 from carpnet.cli import run
 from carpnet.utils import atomic_open
@@ -797,6 +806,20 @@ class TestTableCells:
             "  ]\n}\n"
         )
 
+    @pytest.mark.parametrize("runs", [1, 3, 10, 1000])
+    def test_simulate_frequencies_are_the_reprs_of_counts_over_runs(self, p_hat, runs):
+        flags = ("--runs", str(runs), "--horizon", "4", "--seed", "3", "--initial-state", "active")
+        config = SimulationConfig(runs=runs, horizon=4, seed=3, initial_state="active")
+        frequencies = simulate(load_network("net.json"), ModelParams(0.2, 0.9, 1.2), config).frequencies
+        header = ["t", "risk_0", "risk_1", "risk_2", "risk_3"]
+        lines = [",".join(header)]
+        lines += [",".join([str(t), *map(repr, column)]) for t, column in enumerate(frequencies.T.tolist())]
+        lines.append(",".join(["inf", *p_hat]))
+        assert self._table("simulate", "csv", *flags) == "\n".join(lines) + "\n"
+        rows = [[t, *column] for t, column in enumerate(frequencies.T.tolist())]
+        rows.append(["inf", *map(float, p_hat)])
+        assert self._table("simulate", "json", *flags) == json.dumps({"columns": header, "rows": rows}, indent=2) + "\n"
+
     def test_temporal_influence_writes_a_missing_curve_as_empty_or_null(self, p_hat):
         flags = ("--source", "0", "--runs", "6", "--horizon", "3", "--seed", "2")
         assert self._table("temporal-influence", "csv", *flags) == (
@@ -846,27 +869,54 @@ class TestImportFootprint:
         loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
         assert loaded == []  # dense graphs count active neighbors through a dense product
 
-    def test_fit_on_a_sparse_network_loads_only_the_sparse_module(self, tmp_path):
+    def test_fit_on_a_sparse_network_loads_no_scipy(self, tmp_path):
         network, panel = _generate(tmp_path, nodes=30, edges=20)  # sparse: 2E * 20 < R**2
         argv = ["fit", "--network", str(network), "--panel", str(panel), "--output", str(tmp_path / "fit.json")]
         loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
-        assert loaded == ["scipy", "scipy.sparse"]  # sparse graphs count through the int32 CSR
+        assert loaded == []  # sparse graphs count active neighbors over neighbor_arrays
 
-    @pytest.mark.parametrize("command", ["generate", "simulate", "temporal-influence"])
-    def test_monte_carlo_commands_on_a_dense_network_load_no_scipy(self, tmp_path, command):
-        network, _ = _generate(tmp_path)  # dense: 2E * 20 >= R**2
+    @staticmethod
+    def _monte_carlo_argv(tmp_path, command, nodes, edges):
+        network, _ = _generate(tmp_path, nodes=nodes, edges=edges)
         out = str(tmp_path / "out.csv")
-        argv = {
-            "generate": ["generate", "--nodes", "10", "--edges", "20", "--likelihood-range", "0.45", "0.8",
-                         *PARAM_FLAGS, "--panel-length", "40", "--seed", "11",
+        return {
+            "generate": ["generate", "--nodes", str(nodes), "--edges", str(edges), "--likelihood-range", "0.45",
+                         "0.8", *PARAM_FLAGS, "--panel-length", "40", "--seed", "11",
                          "--network-out", str(tmp_path / "net2.json"), "--panel-out", out],
             "simulate": ["simulate", "--network", str(network), *PARAM_FLAGS, "--runs", "20", "--horizon", "10",
                          "--output", out],
             "temporal-influence": ["temporal-influence", "--network", str(network), *PARAM_FLAGS, "--source", "0",
                                    "--runs", "10", "--horizon", "5", "--baseline", "steady", "--output", out],
         }[command]
+
+    @pytest.mark.parametrize("command", ["generate", "simulate", "temporal-influence"])
+    def test_monte_carlo_commands_on_a_dense_network_load_no_scipy(self, tmp_path, command):
+        argv = self._monte_carlo_argv(tmp_path, command, nodes=10, edges=20)  # dense: 2E * 20 >= R**2
         loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
         assert loaded == []
+
+    @pytest.mark.parametrize("command", ["generate", "simulate", "temporal-influence"])
+    def test_monte_carlo_commands_on_a_sparse_network_load_no_scipy(self, tmp_path, command):
+        argv = self._monte_carlo_argv(tmp_path, command, nodes=30, edges=20)  # sparse: 2E * 20 < R**2
+        loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
+        assert loaded == []
+
+
+class TestDenseMatrixCache:
+    @pytest.mark.parametrize("command", ["simulate", "temporal-influence"])
+    def test_mean_field_and_monte_carlo_share_one_dense_matrix(self, tmp_path, monkeypatch, command):
+        network, _ = _generate(tmp_path)  # dense: 2E * 20 >= R**2
+        loaded = []
+        monkeypatch.setattr(cli, "load_network", lambda path: loaded.append(load_network(path)) or loaded[-1])
+        argv = [command, "--network", str(network), *PARAM_FLAGS, "--runs", "10", "--horizon", "5",
+                "--output", str(tmp_path / "out.csv")]
+        if command == "temporal-influence":
+            argv += ["--source", "0", "--baseline", "steady"]
+        assert run(argv) == 0
+        (net,) = loaded
+        assert net.dense_products
+        cached = [name for name in ("adjacency_matrix", "adjacency_float32", "adjacency_csr") if name in net.__dict__]
+        assert cached == ["adjacency_matrix"]  # the counts went through the mean-field sums' matrix
 
 
 class TestConsoleEntryPoint:

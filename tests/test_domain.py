@@ -22,6 +22,8 @@ from carpnet import (
     save_network,
     save_panel,
 )
+from carpnet.domain import _read_panel_csv, _saved_panel
+from carpnet.dynamics import _step_block
 from tests.helpers import (
     bfs_distances,
     canonical_edges,
@@ -326,10 +328,10 @@ class TestNeighborCounts:
         assert one.dtype == np.int32
         assert one.tolist() == counts[3].tolist()
         assert net.neighbor_counts(bits.T.copy().T).tolist() == counts.tolist()  # a strided block
-        # dense graphs count through the float32 view, never the float64 or CSR ones
+        # dense graphs count through the float32 view, sparse ones over neighbor_arrays; never the CSR one
         assert "adjacency_matrix" not in net.__dict__
         assert ("adjacency_float32" in net.__dict__) is dense
-        assert ("adjacency_csr" in net.__dict__) is not dense
+        assert "adjacency_csr" not in net.__dict__
 
     @settings(deadline=None, max_examples=200)
     @given(small_graphs(), st.data())
@@ -342,6 +344,48 @@ class TestNeighborCounts:
         counts = net.neighbor_counts(bits)
         assert counts.dtype == np.int32
         assert counts.tolist() == [python_neighbor_counts(net, row) for row in bits]
+
+
+class TestCarriedCounts:
+    """The counts ``_step_block`` carries, updated by the cells that flip, against the pure-Python count."""
+
+    PARAMS = ModelParams(0.5, 0.3, 1.5)
+
+    def _step(self, net, bits, uniforms):
+        k = net.neighbor_counts(bits)
+        new = _step_block(bits, uniforms, net, self.PARAMS, k)
+        assert new.tolist() == _step_block(bits, uniforms, net, self.PARAMS).tolist()  # recounted
+        assert k.dtype == np.int32
+        assert k.shape == bits.shape
+        assert np.atleast_2d(k).tolist() == [python_neighbor_counts(net, row) for row in np.atleast_2d(new)]
+        return new
+
+    @pytest.mark.parametrize("size, edges, dense", NEIGHBOR_COUNT_CASES.values(), ids=list(NEIGHBOR_COUNT_CASES))
+    def test_cases_match_the_python_count(self, size, edges, dense):
+        net = make_network([0.5] * size, edges)
+        rng = np.random.default_rng(size)
+        bits = (rng.random((4, size)) < 0.5).astype(np.int8)
+        # every cell turns on, then off (a hub of degree 200 or 299 flips both ways), then a random step
+        for uniforms in (np.zeros((4, size)), np.ones((4, size)), rng.random((4, size))):
+            bits = self._step(net, bits, uniforms)
+        self._step(net, bits[2].copy(), rng.random(size))  # B = 1, a 1-D state
+        self._step(net, bits.T.copy().T, rng.random((4, size)))  # a strided block
+        hub_on = np.ones(size)
+        hub_on[0] = 0.0
+        self._step(net, np.zeros((1, size), dtype=np.int8), hub_on)  # risk 0 alone turns on
+        assert "adjacency_csr" not in net.__dict__
+
+    @settings(deadline=None, max_examples=200)
+    @given(small_graphs(), st.data())
+    def test_matches_the_python_count(self, graph, data):
+        size, edges = graph
+        net = make_network([0.5] * size, edges)
+        rows = data.draw(st.integers(min_value=1, max_value=3))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        rng = np.random.default_rng(seed)
+        bits = (rng.random((rows, size)) < rng.random()).astype(np.int8)
+        for _ in range(3):
+            bits = self._step(net, bits, rng.random((rows, size)))
 
 
 class TestEdgeCanonicalization:
@@ -562,6 +606,60 @@ class TestEventPanel:
         path = tmp_path_factory.mktemp("panel") / "panel.csv"
         save_panel(panel, path)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 30)),
+        start=st.sampled_from([None, "1999-12"]),
+    )
+    def test_saved_files_take_the_byte_path_to_the_csv_result(self, tmp_path_factory, seed, shape, start):
+        panel = EventPanel(np.random.default_rng(seed).integers(0, 2, size=shape), start_label=start)
+        path = tmp_path_factory.mktemp("panel") / "panel.csv"
+        save_panel(panel, path)
+        assert _saved_panel(path.read_bytes()) is not None
+        fast, slow = load_panel(path), _read_panel_csv(path)
+        assert fast.states.tolist() == slow.states.tolist() == panel.states.tolist()
+        assert fast.states.dtype == slow.states.dtype == np.int8
+        assert fast.start_label == slow.start_label == start
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.replace("\n", "\n\n", 2),
+            lambda text: '"' + text.replace(",", '",', 1),
+            lambda text: text[:-1],
+        ],
+        ids=["crlf", "blank-lines", "quoted-header", "no-final-newline"],
+    )
+    def test_other_layouts_take_the_csv_path(self, tmp_path, variant):
+        panel = EventPanel(np.array([[0, 1, 1], [1, 0, 1]]), start_label="2020-11")
+        path = tmp_path / "panel.csv"
+        save_panel(panel, path)
+        path.write_bytes(variant(path.read_text()).encode("ascii"))
+        assert _saved_panel(path.read_bytes()) is None
+        back = load_panel(path)
+        assert back.states.tolist() == panel.states.tolist()
+        assert back.start_label == "2020-11"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"t0,t1\n0,1\n0,x\n", "cell (1, 1) must be 0 or 1, got 'x'"),
+            (b"t0,t1\n0,1\n2,0\n", "cell (1, 0) must be 0 or 1, got '2'"),
+            (b"t0,t1\n0;1\n", "row 1 has 1 cells, expected 2"),
+            (b"t0,t1\n0,1,0,1\n", "row 1 has 4 cells, expected 2"),
+            (b"t" * 131073 + b",t1\n0,1\n", "not a UTF-8 CSV panel: field larger than field limit (131072)"),
+        ],
+        ids=["letter", "digit-2", "semicolon", "double-width-row", "label-over-csv-limit"],
+    )
+    def test_near_misses_of_the_saved_layout_get_the_csv_errors(self, tmp_path, content, message):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError) as raised:
+            load_panel(path)
+        assert str(raised.value) == f"{path}: {message}"
 
     def test_non_binary_cell_is_an_error(self, tmp_path):
         path = tmp_path / "panel.csv"

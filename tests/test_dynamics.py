@@ -15,7 +15,7 @@ from carpnet import (
     prob_activate,
     step,
 )
-from tests.helpers import PARAMS_SLOW, make_network, python_neighbor_counts
+from tests.helpers import PARAMS_SLOW, make_network, python_neighbor_counts, small_graphs
 
 likelihood_values = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 exponent_values = st.floats(min_value=1e-4, max_value=50.0)
@@ -238,8 +238,20 @@ class TestNeighborCountOracle:
 
     def test_panel_stats_match_python_transition_counts(self):
         network = hub_star()
-        states = np.ones((network.size, 3), dtype=np.int8)
-        states[0] = [0, 0, 1]  # hub stays dormant, then activates, under 200 active leaves
+        assert not network.dense_products  # counted by a running sum of each month's changes
+        states = np.ones((network.size, 6), dtype=np.int8)
+        states[0] = [0, 0, 1, 0, 0, 1]  # hub stays dormant, then activates, under 200 active leaves
+        states[1:, 3] = 0  # then every leaf turns off, half of them on again, and then all of them
+        states[1::2, 4] = 0
+        assert_panel_stats_match_python(network, states)
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph=small_graphs(), months=st.integers(min_value=2, max_value=8), seed=st.integers(0, 2**32 - 1))
+    def test_panel_stats_match_python_on_any_graph(self, graph, months, seed):
+        size, edges = graph
+        network = make_network([0.5] * size, edges)
+        rng = np.random.default_rng(seed)
+        states = (rng.random((size, months)) < rng.random()).astype(np.int8)
         assert_panel_stats_match_python(network, states)
 
     @settings(max_examples=25, deadline=None)
