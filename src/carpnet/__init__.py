@@ -11,6 +11,8 @@ analysis, all exposed both as a library and through the ``carpnet`` CLI.
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+
 from .domain import (
     CATEGORIES,
     DEFAULT_EPSILON,
@@ -26,51 +28,37 @@ from .domain import (
     save_network,
     save_panel,
 )
-from .dynamics import (
-    NetworkState,
-    PoissonProbs,
-    activation_prob,
-    philox_stream,
-    poisson_probs,
-    prob_activate,
-    step,
-    survival_prob,
-)
 from .errors import CarpError, ConvergenceError, ValidationError
-from .influence import (
-    KNOCKOUT_FLOOR,
-    CategoryInfluence,
-    InfluenceMatrix,
-    category_influence,
-    influence_matrix,
-    knockout,
-)
-from .meanfield import (
-    InitMode,
-    SteadyState,
-    TransitionFractions,
-    ext_int_ratio,
-    ext_int_ratios,
-    fixed_point,
-    stationarity_residual,
-    transition_fractions,
-)
-from .mle import (
-    FitConfig,
-    FitResult,
-    PanelStats,
-    fit,
-    log_likelihood,
-    log_likelihood_gradient,
-)
-from .montecarlo import (
-    FrequencyTrajectory,
-    SimulationConfig,
-    TemporalInfluence,
-    simulate,
-    temporal_influence,
-)
-from .synth import generate_synthetic
+
+# The analysis modules load on first use of one of their names (PEP 562), so
+# a process that only loads files imports numpy and the data model alone.
+# ``import carpnet.cli`` still loads every module.
+_LAZY = {
+    "dynamics": ("NetworkState", "PoissonProbs", "activation_prob", "philox_stream", "poisson_probs",
+                 "prob_activate", "step", "survival_prob"),
+    "influence": ("KNOCKOUT_FLOOR", "CategoryInfluence", "InfluenceMatrix", "category_influence",
+                  "influence_matrix", "knockout"),
+    "meanfield": ("InitMode", "SteadyState", "TransitionFractions", "ext_int_ratio", "ext_int_ratios",
+                  "fixed_point", "stationarity_residual", "transition_fractions"),
+    "mle": ("FitConfig", "FitResult", "PanelStats", "fit", "log_likelihood", "log_likelihood_gradient"),
+    "montecarlo": ("FrequencyTrajectory", "SimulationConfig", "TemporalInfluence", "simulate", "temporal_influence"),
+    "synth": ("generate_synthetic",),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """A public name or submodule of an analysis module, imported on first access."""
+    if name in _LAZY:
+        return _import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_MODULE_OF})
+
 
 __all__ = [
     "CATEGORIES",

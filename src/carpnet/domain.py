@@ -45,6 +45,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -172,10 +173,13 @@ class ModelParams:
 
 
 def _number(value, what: str) -> float:
-    """A JSON number as a float; booleans, strings and null are rejected."""
+    """A JSON number as a float; booleans, strings, null and integers beyond the float range are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} must fit in a float, got an integer of {value.bit_length()} bits") from None
 
 
 def _integer(value, what: str) -> int:
@@ -183,6 +187,82 @@ def _integer(value, what: str) -> int:
     if type(value) is not int:
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _numbers(values: list) -> bool:
+    """Whether every value passes :func:`_number`'s type test: an int or float, booleans excluded."""
+    return all(issubclass(kind, (int, float)) and kind is not bool for kind in set(map(type, values)))
+
+
+def _field(entry, key: str):
+    """One field of a risk entry; a missing field, or an entry that is no object, is an error."""
+    try:
+        return entry[key]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"risk entry missing field {key!r}: {entry!r}") from exc
+
+
+def _column(entries: list, key: str) -> list | None:
+    """Every entry's ``key``, or None when an entry lacks it."""
+    try:
+        return [entry[key] for entry in entries]
+    except (KeyError, TypeError):
+        return None
+
+
+def _number_column(entries: list, key: str, what: str) -> np.ndarray:
+    """Every entry's ``key`` as one float64 array, the first missing or bad value in entry order raising.
+
+    Whole-column tests come first; only a column that fails them is converted
+    entry by entry through :func:`_field` and :func:`_number`, which raise
+    on the first fault.
+    """
+    values = _column(entries, key)
+    if values is not None and _numbers(values):
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    return np.array([_number(_field(entry, key), what) for entry in entries], dtype=np.float64)
+
+
+_CATEGORY_OF = {**{c.value: c for c in Category}, **{c: c for c in Category}}  # what Category(value) accepts
+
+
+def _risk(entry, raw: float, normalized: float) -> Risk:
+    """One risk entry as a checked :class:`Risk`: its name, category, id, then its likelihoods' ranges."""
+    name = _field(entry, "name")
+    try:
+        category = Category(_field(entry, "category"))
+    except ValueError as exc:
+        raise ValidationError(f"unknown category {entry.get('category')!r}") from exc
+    risk_id = _integer(_field(entry, "id"), "risk id")
+    return Risk(risk_id, str(name), category, raw, normalized)
+
+
+def _risks(entries: list, raws: np.ndarray, normalized: np.ndarray) -> list[Risk]:
+    """The risks of ``entries``, each field checked as one column.
+
+    When every column passes, each :class:`Risk` is made without rerunning
+    its ``__post_init__`` checks: ``object.__new__`` and one ``__dict__``
+    update, which equals, hashes and prints as a constructed one. Otherwise
+    the entries are built one by one through :func:`_risk`, so the error
+    names the first fault in entry order.
+    """
+    ids, names, categories = (_column(entries, key) for key in ("id", "name", "category"))
+    try:
+        categories = None if categories is None else list(map(_CATEGORY_OF.get, categories))
+    except TypeError:  # an unhashable category
+        categories = None
+    in_range = (raws > 0.0) & (raws < np.inf) & (normalized > 0.0) & (normalized < 1.0)
+    if None in (ids, names, categories) or set(map(type, ids)) != {int} or None in categories or not in_range.all():
+        return list(map(_risk, entries, raws.tolist(), normalized.tolist()))
+    risks = []
+    for risk_id, name, category, raw, norm in zip(ids, names, categories, raws.tolist(), normalized.tolist()):
+        risk = object.__new__(Risk)
+        risk.__dict__.update(id=risk_id, name=str(name), category=category, raw_likelihood=raw, normalized_likelihood=norm)
+        risks.append(risk)
+    return risks
 
 
 def _id_pairs(edges: Sequence) -> bool:
@@ -209,14 +289,14 @@ def _edge_keys(edges: Sequence[Sequence[int]], size: int) -> np.ndarray:
     try:
         ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
     except OverflowError:  # an id beyond int64 is outside 0..size-1, and stays so when clipped
-        ends = np.clip(np.array(edges, dtype=object), -1, size).astype(np.int64)
-    low, high = np.sort(ends.reshape(-1, 2), axis=1).T
+        ends = np.clip(np.array(edges, dtype=object), -1, size).astype(np.int64).ravel()
+    low, high = np.minimum(ends[0::2], ends[1::2]), np.maximum(ends[0::2], ends[1::2])
     keys = low * size + high
-    order = np.argsort(keys, kind="stable")  # a repeated pair sorts after its first copy
-    keys = keys[order]
-    repeated = np.zeros(keys.size, dtype=bool)
-    repeated[order[1:]] = keys[1:] == keys[:-1]
-    bad = (low == high) | (low < 0) | (high >= size) | repeated
+    bad = (low == high) | (low < 0) | (high >= size)
+    if not (keys[1:] > keys[:-1]).all():  # strictly increasing keys, as save_network writes them, repeat no pair
+        order = np.argsort(keys, kind="stable")  # a repeated pair sorts after its first copy
+        keys = keys[order]
+        bad[order[1:]] |= keys[1:] == keys[:-1]
     if bad.any():  # every edge before the first bad one is a valid new pair
         i, j = map(int, edges[int(bad.argmax())])
         if i == j:
@@ -246,7 +326,7 @@ class RiskNetwork:
     _edge_keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        risks = tuple(sorted(self.risks, key=lambda r: r.id))
+        risks = tuple(sorted(self.risks, key=attrgetter("id")))
         if not risks:
             raise ValidationError("a risk network needs at least one risk")
         if [r.id for r in risks] != list(range(len(risks))):
@@ -477,6 +557,14 @@ class RiskNetwork:
 
     @staticmethod
     def from_dict(data: dict) -> "RiskNetwork":
+        """The network of a parsed JSON document, each risk field checked as one column.
+
+        Risk entries are checked in this order: every entry's likelihood, then
+        the normalized likelihoods (every explicit value, or the
+        normalization of the raw ones), then each entry's name, category, id
+        and the ranges of its two likelihoods. A column that fails its test
+        is redone entry by entry, so the error names the first fault.
+        """
         if not isinstance(data, dict):
             raise ValidationError("network document must be a JSON object")
         entries = data.get("risks")
@@ -491,39 +579,17 @@ class RiskNetwork:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"bad normalization block: {block!r}") from exc
             epsilon = _number(block.get("epsilon", DEFAULT_EPSILON), "normalization epsilon")
-
-        def field(entry: dict, key: str):
-            try:
-                return entry[key]
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(f"risk entry missing field {key!r}: {entry!r}") from exc
-
-        raws = [_number(field(e, "likelihood"), "likelihood") for e in entries]
+        raws = _number_column(entries, "likelihood", "likelihood")
         explicit = ["normalized_likelihood" in e for e in entries]
         if any(explicit) and not all(explicit):
             raise ValidationError(
                 "either every risk entry carries 'normalized_likelihood' or none does"
             )
         if all(explicit):
-            normalized = [_number(e["normalized_likelihood"], "normalized_likelihood") for e in entries]
+            normalized = _number_column(entries, "normalized_likelihood", "normalized_likelihood")
         else:
-            normalized = normalize_likelihoods(raws, scheme, epsilon)
-        risks = []
-        for entry, raw, norm in zip(entries, raws, normalized):
-            name = field(entry, "name")
-            try:
-                category = Category(field(entry, "category"))
-            except ValueError as exc:
-                raise ValidationError(f"unknown category {entry.get('category')!r}") from exc
-            risks.append(
-                Risk(
-                    id=_integer(field(entry, "id"), "risk id"),
-                    name=str(name),
-                    category=category,
-                    raw_likelihood=raw,
-                    normalized_likelihood=norm,
-                )
-            )
+            normalized = np.array(normalize_likelihoods(raws.tolist(), scheme, epsilon))
+        risks = _risks(entries, raws, normalized)
         edges = data.get("edges", [])
         if not isinstance(edges, list):
             raise ValidationError("'edges' must be a list of id pairs")
@@ -549,6 +615,8 @@ def load_network(path: str | Path, fmt: str = "json") -> RiskNetwork:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValidationError(f"{path}: JSON nested too deeply to read: {exc}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ValidationError(f"{path}: JSON number too long to read: {exc}") from exc
     return RiskNetwork.from_dict(data)
 
 
@@ -588,7 +656,7 @@ class EventPanel:
         mat = np.asarray(self.states)
         if mat.ndim != 2 or mat.size == 0:
             raise ValidationError(f"panel states must be a non-empty 2-D matrix, got shape {mat.shape}")
-        if not np.isin(mat, (0, 1)).all():
+        if not ((mat == 0) | (mat == 1)).all():
             raise ValidationError("panel states must contain only 0 and 1")
         mat = np.ascontiguousarray(mat, dtype=np.int8)
         mat.setflags(write=False)

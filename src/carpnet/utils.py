@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
@@ -24,6 +23,8 @@ def ordered_map(fn: Callable[[T], U], items: Iterable[T], threads: int = 1) -> l
     work: Sequence[T] = list(items)
     if threads <= 1 or len(work) <= 1:
         return [fn(x) for x in work]
+    from concurrent.futures import ThreadPoolExecutor  # only here: the import costs every process ~8 ms
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, work))
 

@@ -12,7 +12,17 @@ from collections import deque
 import numpy as np
 from hypothesis import strategies as st
 
-from carpnet import CATEGORIES, ModelParams, Risk, RiskNetwork, ValidationError
+from carpnet import (
+    CATEGORIES,
+    DEFAULT_EPSILON,
+    Category,
+    ModelParams,
+    NormalizationScheme,
+    Risk,
+    RiskNetwork,
+    ValidationError,
+    normalize_likelihoods,
+)
 
 # Two realistic month-scale parameter sets: a slow regime (rare activations,
 # long active spells) and a faster one (more contagion, quicker recovery).
@@ -64,6 +74,68 @@ def canonical_edges(edges, size: int) -> tuple[tuple[int, int], ...]:
             raise ValidationError(f"duplicate edge {key}")
         seen.add(key)
     return tuple(sorted(seen))
+
+
+def _entry_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} must fit in a float, got an integer of {value.bit_length()} bits") from None
+
+
+def per_entry_network(data) -> RiskNetwork:
+    """Per-entry reference for ``RiskNetwork.from_dict``: each risk checked and built one at a time.
+
+    Every entry's likelihood is read in entry order, then the normalized
+    values, then each entry's name, category and id, and ``Risk(...)`` runs
+    its own range checks; the first fault raises.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError("network document must be a JSON object")
+    entries = data.get("risks")
+    if not isinstance(entries, list) or not entries:
+        raise ValidationError("network document needs a non-empty 'risks' list")
+    block = data.get("normalization")
+    if block is None:
+        scheme, epsilon = NormalizationScheme.IDENTITY, DEFAULT_EPSILON
+    else:
+        try:
+            scheme = NormalizationScheme(block["scheme"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"bad normalization block: {block!r}") from exc
+        epsilon = _entry_number(block.get("epsilon", DEFAULT_EPSILON), "normalization epsilon")
+
+    def field(entry: dict, key: str):
+        try:
+            return entry[key]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"risk entry missing field {key!r}: {entry!r}") from exc
+
+    raws = [_entry_number(field(e, "likelihood"), "likelihood") for e in entries]
+    explicit = ["normalized_likelihood" in e for e in entries]
+    if any(explicit) and not all(explicit):
+        raise ValidationError("either every risk entry carries 'normalized_likelihood' or none does")
+    if all(explicit):
+        normalized = [_entry_number(e["normalized_likelihood"], "normalized_likelihood") for e in entries]
+    else:
+        normalized = normalize_likelihoods(raws, scheme, epsilon)
+    risks = []
+    for entry, raw, norm in zip(entries, raws, normalized):
+        name = field(entry, "name")
+        try:
+            category = Category(field(entry, "category"))
+        except ValueError as exc:
+            raise ValidationError(f"unknown category {entry.get('category')!r}") from exc
+        risk_id = field(entry, "id")
+        if type(risk_id) is not int:
+            raise ValidationError(f"risk id must be an integer, got {risk_id!r}")
+        risks.append(Risk(risk_id, str(name), category, raw, norm))
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise ValidationError("'edges' must be a list of id pairs")
+    return RiskNetwork(tuple(risks), edges, scheme, epsilon)
 
 
 def dense_adjacency(network: RiskNetwork) -> np.ndarray:
@@ -198,6 +270,72 @@ def messy_edge_lists(draw, max_size: int = 12):
     kinds = st.sampled_from([int, np.int64, np.int32, np.int16])
     edges = [draw(containers)(draw(kinds)(v) for v in pair) for pair in pairs]
     return size, edges
+
+
+RISK_FAULTS = (
+    "missing-field",
+    "bool-id",
+    "non-number-likelihood",
+    "huge-integer",
+    "unhashable-category",
+    "normalized-out-of-range",
+    "raw-out-of-range",
+    "mixed-explicit",
+)
+
+
+@st.composite
+def risk_documents(draw, max_size: int = 8):
+    """A network document whose risk list is valid or carries one injected fault (``RISK_FAULTS``).
+
+    Risks come in any id order, with names that may be numbers, likelihoods
+    that are all floats in (0, 1) or all small integers, explicit normalized
+    values or none, and any normalization block or none. A huge integer,
+    beyond 2**53 or beyond the float range, lands in a likelihood or a
+    normalized likelihood, where it may be valid or a fault.
+    """
+    size = draw(st.integers(min_value=1, max_value=max_size))
+    explicit = draw(st.booleans())
+    raws = st.integers(1, 9) if draw(st.booleans()) else st.floats(0.05, 0.95)
+    entries = []
+    for risk_id in draw(st.permutations(range(size))):
+        entry = {
+            "id": risk_id,
+            "name": draw(st.one_of(st.text(max_size=3), st.integers(-5, 5))),
+            "category": draw(st.sampled_from([c.value for c in CATEGORIES])),
+            "likelihood": draw(raws),
+        }
+        if explicit:
+            entry["normalized_likelihood"] = draw(st.floats(0.01, 0.99))
+        entries.append(entry)
+    fault = draw(st.sampled_from((None, *RISK_FAULTS)))
+    entry = draw(st.sampled_from(entries))
+    if fault == "missing-field":
+        del entry[draw(st.sampled_from(sorted(entry)))]
+    elif fault == "bool-id":
+        entry["id"] = draw(st.booleans())
+    elif fault == "non-number-likelihood":
+        entry["likelihood"] = draw(st.sampled_from(["0.5", True, None]))
+    elif fault == "huge-integer":
+        key = draw(st.sampled_from(sorted(key for key in entry if key.endswith("likelihood"))))
+        entry[key] = draw(st.one_of(st.integers(2**53 + 1, 2**80), st.just(10**400)))
+    elif fault == "unhashable-category":
+        entry["category"] = [entry["category"]]
+    elif fault == "normalized-out-of-range":
+        entry["normalized_likelihood"] = draw(st.sampled_from([0.0, 1.0, 1.5, -0.25, float("nan")]))
+    elif fault == "raw-out-of-range":
+        entry["likelihood"] = draw(st.sampled_from([0.0, -0.25, float("inf"), float("nan")]))
+    elif fault == "mixed-explicit" and size > 1:
+        if explicit:
+            del entry["normalized_likelihood"]
+        else:
+            entry["normalized_likelihood"] = 0.5
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    document = {"risks": entries, "edges": draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []}
+    scheme = draw(st.sampled_from((None, *NormalizationScheme)))
+    if scheme is not None:
+        document["normalization"] = {"scheme": scheme.value, "epsilon": draw(st.sampled_from([0.01, 0.05]))}
+    return document
 
 
 def bfs_distances(size: int, edges, source: int) -> dict[int, int]:

@@ -15,6 +15,7 @@ import pytest
 
 from carpnet import (
     ModelParams,
+    RiskNetwork,
     SimulationConfig,
     ValidationError,
     fixed_point,
@@ -26,7 +27,7 @@ from carpnet import (
 from carpnet import cli
 from carpnet.cli import run
 from carpnet.utils import atomic_open
-from tests.helpers import make_network
+from tests.helpers import make_network, per_entry_network
 
 
 def _generate(tmp_path, seed=11, nodes=10, edges=20, panel_length=40):
@@ -519,6 +520,8 @@ BAD_NETWORKS = {
     "likelihood-string": {"risks": [_risk(0, likelihood="high")], "edges": []},
     "likelihood-null": {"risks": [_risk(0, likelihood=None)], "edges": []},
     "likelihood-list": {"risks": [_risk(0, likelihood=[0.5])], "edges": []},
+    "likelihood-bool": {"risks": [_risk(0, likelihood=True)], "edges": []},
+    "likelihood-infinite": {"risks": [_risk(0, likelihood=float("inf"), normalized_likelihood=0.5)], "edges": []},
     "normalized-likelihood-string": {"risks": [_risk(0, normalized_likelihood="0.5")], "edges": []},
     "epsilon-string": _two_risks(normalization={"scheme": "minmax", "epsilon": "small"}),
     "epsilon-null": _two_risks(normalization={"scheme": "minmax", "epsilon": None}),
@@ -532,6 +535,57 @@ BAD_NETWORKS = {
     "edge-bool-id": _two_risks(edges=[[True, 1]]),
     "edge-self-loop": _two_risks(edges=[[1, 1]]),
     "edge-duplicate-reversed": _two_risks(edges=[[0, 1], [1, 0]]),
+    "likelihood-huge-int": {"risks": [_risk(0, likelihood=10**400)], "edges": []},
+    "normalized-likelihood-huge-int": {"risks": [_risk(0, normalized_likelihood=10**400)], "edges": []},
+    "epsilon-huge-int": _two_risks(normalization={"scheme": "minmax", "epsilon": 10**400}),
+    "integer-over-digit-limit": b'{"risks": [{"id": 0, "name": "r0", "category": "Economic", "likelihood": 1'
+    + b"0" * 4999
+    + b'}], "edges": []}',
+}
+
+# The messages of the documents above that hold an integer too large for a float, or for Python's int parser.
+HUGE_INTEGER_MESSAGES = {
+    "likelihood-huge-int": r"^likelihood must fit in a float, got an integer of 1329 bits$",
+    "normalized-likelihood-huge-int": r"^normalized_likelihood must fit in a float, got an integer of 1329 bits$",
+    "epsilon-huge-int": r"^normalization epsilon must fit in a float, got an integer of 1329 bits$",
+    "integer-over-digit-limit": r"bad\.json: JSON number too long to read: .*4300",
+}
+
+# Risk lists with two faults, and the message of the one that must be reported: every likelihood
+# first, then the normalized values, then each entry's name, category, id and ranges in entry order.
+COMPETING_RISK_FAULTS = {
+    "category-then-string-likelihood": (
+        [_risk(0, category="Cosmic"), _risk(1), _risk(2, likelihood="x")],
+        "likelihood must be a number, got 'x'",
+    ),
+    "id-then-missing-likelihood": (
+        [_risk("a"), {"id": 1, "name": "r1", "category": "Economic"}],
+        "risk entry missing field 'likelihood': {'id': 1, 'name': 'r1', 'category': 'Economic'}",
+    ),
+    "huge-int-then-string-likelihood": (
+        [_risk(0, likelihood=10**400), _risk(1, likelihood="x")],
+        "likelihood must fit in a float, got an integer of 1329 bits",
+    ),
+    "range-then-string-normalized": (
+        [_risk(0, normalized_likelihood=1.5), _risk(1, normalized_likelihood="x")],
+        "normalized_likelihood must be a number, got 'x'",
+    ),
+    "category-then-mixed-explicit": (
+        [_risk(0, category="Cosmic"), _risk(1, normalized_likelihood=0.5)],
+        "either every risk entry carries 'normalized_likelihood' or none does",
+    ),
+    "range-then-category": (
+        [_risk(0, normalized_likelihood=1.5), _risk(1, category="Cosmic", normalized_likelihood=0.5)],
+        "risk 0 normalized likelihood must lie strictly inside (0, 1), got 1.5",
+    ),
+    "missing-name-then-bool-id": (
+        [_risk(1), {"id": 0, "category": "Economic", "likelihood": 0.5}, _risk(True)],
+        "risk entry missing field 'name': {'id': 0, 'category': 'Economic', 'likelihood': 0.5}",
+    ),
+    "unhashable-category-then-bool-id": (
+        [_risk(0, category=["Economic"]), _risk(True)],
+        "unknown category ['Economic']",
+    ),
 }
 
 # Edge lists with two faults, and the message of the one that must be reported:
@@ -553,6 +607,36 @@ class TestMalformedNetworkFiles:
         code = run(["steady-state", "--network", str(path), *PARAM_FLAGS, "--output", str(tmp_path / "o.csv")])
         assert code == 1
         assert re.search(r"^error: ", capsys.readouterr().err, re.MULTILINE)
+
+    @pytest.mark.parametrize("name", HUGE_INTEGER_MESSAGES)
+    def test_huge_integers_are_named(self, tmp_path, name):
+        document = BAD_NETWORKS[name]
+        path = tmp_path / "bad.json"
+        path.write_bytes(document if isinstance(document, bytes) else json.dumps(document).encode())
+        with pytest.raises(ValidationError, match=HUGE_INTEGER_MESSAGES[name]):
+            load_network(path)
+
+    @pytest.mark.parametrize(
+        "document", [d for d in BAD_NETWORKS.values() if not isinstance(d, bytes)],
+        ids=[name for name, d in BAD_NETWORKS.items() if not isinstance(d, bytes)],
+    )
+    def test_matches_the_per_entry_reference(self, document):
+        with pytest.raises(ValidationError) as expected:
+            per_entry_network(document)
+        with pytest.raises(ValidationError) as raised:
+            RiskNetwork.from_dict(document)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("risks, message", COMPETING_RISK_FAULTS.values(), ids=COMPETING_RISK_FAULTS.keys())
+    def test_the_first_risk_fault_is_reported(self, tmp_path, risks, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"risks": risks, "edges": []}), encoding="utf-8")
+        with pytest.raises(ValidationError) as raised:
+            load_network(path)
+        assert str(raised.value) == message
+        with pytest.raises(ValidationError) as expected:
+            per_entry_network({"risks": risks, "edges": []})
+        assert str(expected.value) == message
 
     @pytest.mark.parametrize("edges, message", COMPETING_EDGE_FAULTS.values(), ids=COMPETING_EDGE_FAULTS.keys())
     def test_the_first_fault_is_reported(self, tmp_path, edges, message):
@@ -852,9 +936,29 @@ def _loaded_heavy_modules(code: str) -> list[str]:
     return result.stdout.split()
 
 
+ANALYSIS_MODULES = ("dynamics", "meanfield", "influence", "mle", "montecarlo", "synth")
+
+
 class TestImportFootprint:
     def test_importing_the_package_and_cli_loads_no_heavy_module(self):
         assert _loaded_heavy_modules("import carpnet\nimport carpnet.cli") == []
+
+    def test_loading_files_imports_no_analysis_module(self, tmp_path):
+        network, panel = _generate(tmp_path)
+        modules = [f"carpnet.{name}" for name in ANALYSIS_MODULES] + ["concurrent.futures"]
+        probe = (
+            f"import sys, carpnet\ncarpnet.load_network({str(network)!r})\ncarpnet.load_panel({str(panel)!r})\n"
+            f"print(' '.join(m for m in {modules!r} if m in sys.modules))\n"
+            "import carpnet.cli\n"
+            f"print(' '.join(m for m in {modules[:-1]!r} if m not in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        loaded, missing = result.stdout.split("\n")[:2]
+        assert loaded == ""  # loading a network and a panel imports no analysis module and no thread pool
+        assert missing == ""  # import carpnet.cli imports all six
 
     @pytest.mark.parametrize("command", ["steady-state", "transitions", "influence"])
     def test_mean_field_commands_load_no_optimizer_or_sparse_module(self, tmp_path, command):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,10 @@ from tests.helpers import (
     dense_adjacency,
     make_network,
     messy_edge_lists,
+    per_entry_network,
     python_neighbor_counts,
     random_graph_edges,
+    risk_documents,
     small_graphs,
 )
 
@@ -414,6 +417,40 @@ class TestEdgeCanonicalization:
         assert indptr.dtype == indices.dtype == np.int32
         assert indptr.tolist() == [0, *itertools.accumulate(map(len, neighbors))]
         assert indices.tolist() == [j for row in neighbors for j in sorted(row)]
+
+
+class TestRiskColumns:
+    """The column checks of ``RiskNetwork.from_dict`` against the per-entry reference in ``tests.helpers``."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(risk_documents())
+    def test_matches_the_per_entry_reference(self, document):
+        try:
+            expected = per_entry_network(document)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                RiskNetwork.from_dict(document)
+            assert str(raised.value) == str(exc)
+            return
+        net = RiskNetwork.from_dict(document)
+        assert net.risks == expected.risks
+        assert repr(net.risks) == repr(expected.risks)
+        assert hash(net.risks) == hash(expected.risks)
+        assert net.edges == expected.edges
+        assert net.likelihoods.tobytes() == expected.likelihoods.tobytes()
+        assert (net.scheme, net.epsilon) == (expected.scheme, expected.epsilon)
+
+    def test_loaded_risks_behave_like_constructed_ones(self):
+        entries = [{"id": 0, "name": 7, "category": "Societal", "likelihood": 2**53 + 1, "normalized_likelihood": 0.25}]
+        (loaded,) = RiskNetwork.from_dict({"risks": entries}).risks
+        built = Risk(0, "7", Category.SOCIETAL, float(2**53 + 1), 0.25)
+        assert loaded == built and hash(loaded) == hash(built) and repr(loaded) == repr(built)
+        assert [type(getattr(loaded, f)) for f in ("id", "name", "raw_likelihood", "normalized_likelihood")] == [
+            int, str, float, float,
+        ]
+        assert replace(loaded, name="x") == replace(built, name="x")
+        with pytest.raises(ValidationError, match="normalized likelihood must lie strictly inside"):
+            replace(loaded, normalized_likelihood=1.0)  # replace runs Risk's own checks
 
 
 class TestGraphStatistics:
