@@ -47,20 +47,19 @@ from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .utils import atomic_write_text
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
 DEFAULT_EPSILON = 0.01
 
 # RiskNetwork.neighbor_sums and neighbor_counts take the dense product once 2E * DENSE_PAIRS >= R**2
 DENSE_PAIRS = 20
+# neighbor_sums of a block of two or more rows takes it once 2E * DENSE_BLOCK_PAIRS >= R**2
+DENSE_BLOCK_PAIRS = 80
 
 _MONTH_LABEL = re.compile(r"\d{4}-(0[1-9]|1[0-2])")
 _BITS = frozenset(("0", "1"))  # the only panel cells
@@ -232,10 +231,11 @@ _CATEGORY_OF = {**{c.value: c for c in Category}, **{c: c for c in Category}}  #
 def _risk(entry, raw: float, normalized: float) -> Risk:
     """One risk entry as a checked :class:`Risk`: its name, category, id, then its likelihoods' ranges."""
     name = _field(entry, "name")
+    value = _field(entry, "category")
     try:
-        category = Category(_field(entry, "category"))
+        category = Category(value)
     except ValueError as exc:
-        raise ValidationError(f"unknown category {entry.get('category')!r}") from exc
+        raise ValidationError(f"unknown category {value!r}") from exc
     risk_id = _integer(_field(entry, "id"), "risk id")
     return Risk(risk_id, str(name), category, raw, normalized)
 
@@ -405,9 +405,10 @@ class RiskNetwork:
         (20, so 5%) is an edge, ``2E * DENSE_PAIRS >= R**2``. For one
         probability row the dense product overtook the segment sum at
         ``2E * 14 = R**2`` for R=1000 and at ``2E * 30 = R**2`` for R=300
-        (2-core Xeon, numpy 2.4, one OpenBLAS thread). On sparse graphs both
-        work over ``neighbor_arrays`` with numpy alone, so no count or sum
-        builds ``adjacency_csr`` and no command loads scipy.
+        (2-core Xeon, numpy 2.4, one OpenBLAS thread). Below it both work
+        over ``neighbor_arrays``, except :meth:`neighbor_sums` on a block of
+        rows, which has its own rule; that method alone picks the operand of
+        every mean-field product, the knockout blocks' included.
         """
         return 2 * self.edge_count * DENSE_PAIRS >= self.size**2
 
@@ -415,11 +416,14 @@ class RiskNetwork:
         """Each risk's sum of ``p`` over its neighbors, ``p @ adjacency_matrix``.
 
         ``p`` is a probability row of R values or a (B, R) block of rows.
-        Dense graphs (``dense_products``) take the matrix product; on sparse
-        ones each row is one gather and segment sum over ``neighbor_arrays``,
-        and the dense matrix is never built.
+        Dense graphs (``dense_products``) take the matrix product, and so do
+        blocks of two or more rows from ``2E * DENSE_BLOCK_PAIRS >= R**2``:
+        the knockout blocks ran faster by it from ``2E * 180 = R**2`` at
+        R=300, ``2E * 77`` at R=1000 and ``2E * 55`` at R=2000 (same
+        machine). Otherwise each row is one gather and segment sum over
+        ``neighbor_arrays``, and the dense matrix is never built.
         """
-        if self.dense_products:
+        if self.dense_products or (p.size > self.size and 2 * self.edge_count * DENSE_BLOCK_PAIRS >= self.size**2):
             return p @ self.adjacency_matrix
         if p.ndim > 1:
             return np.array([self.neighbor_sums(row) for row in p]).reshape(p.shape)
@@ -433,8 +437,8 @@ class RiskNetwork:
         ``bits`` is a state of R bits or a (B, R) block of states, risks on the
         last axis. Dense graphs (``dense_products``) multiply by a dense 0/1
         matrix, whose sums of 0/1 terms are exact: ``adjacency_matrix`` once it
-        is built (by the mean-field sums or the knockouts), so a network keeps
-        one dense matrix, and otherwise ``adjacency_float32``, exact below
+        is built (by :meth:`neighbor_sums`), so a network keeps one dense
+        matrix, and otherwise ``adjacency_float32``, exact below
         2**24 where a degree is below R. Sparse graphs scatter over the active
         cells (:meth:`_scatter`).
         """
@@ -471,27 +475,13 @@ class RiskNetwork:
 
     @cached_property
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense float64 0/1 adjacency: the knockout blocks' operand, and ``neighbor_sums``' on dense graphs."""
+        """Dense float64 0/1 adjacency: ``neighbor_sums``' operand on dense graphs."""
         return self._dense(np.float64)
 
     @cached_property
     def adjacency_float32(self) -> np.ndarray:
         """Dense float32 0/1 adjacency: ``neighbor_counts``' operand on dense graphs without ``adjacency_matrix``."""
         return self._dense(np.float32)
-
-    @cached_property
-    def adjacency_csr(self) -> sparse.csr_matrix:
-        """Symmetric int32 CSR adjacency over the arrays of ``neighbor_arrays``.
-
-        The operand of the graph statistics ``average_clustering`` and
-        ``diameter``, which no command uses. scipy.sparse is imported here, on
-        first use, so neither importing carpnet nor any command loads it.
-        """
-        from scipy import sparse
-
-        indptr, indices = self.neighbor_arrays
-        ones = np.ones(indices.size, dtype=np.int32)
-        return sparse.csr_matrix((ones, indices, indptr), shape=(self.size, self.size))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -504,32 +494,6 @@ class RiskNetwork:
         if not (0 <= risk_id < self.size):
             raise ValidationError(f"risk id {risk_id} outside 0..{self.size - 1}")
         return self.adjacency[risk_id]
-
-    @cached_property
-    def average_clustering(self) -> float:
-        """Mean local clustering; a risk with fewer than two neighbors counts as 0."""
-        a = self.adjacency_csr
-        closed = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()  # 2 × triangles at each risk
-        pairs = self.degrees * (self.degrees - 1)
-        local = np.divide(closed, pairs, out=np.zeros(self.size), where=pairs > 0)
-        return float(local.mean())
-
-    @cached_property
-    def diameter(self) -> float:
-        """Longest shortest path; ``inf`` when the graph is disconnected.
-
-        Breadth-first searches run from blocks of sources, so at most
-        ``2**20`` distances are held at once.
-        """
-        from scipy.sparse.csgraph import shortest_path
-
-        block = max(1, 2**20 // self.size)
-        longest = 0.0
-        for first in range(0, self.size, block):
-            sources = np.arange(first, min(first + block, self.size))
-            distances = shortest_path(self.adjacency_csr, unweighted=True, indices=sources)
-            longest = max(longest, float(distances.max()))
-        return longest
 
     def with_normalized_likelihood(self, risk_id: int, value: float) -> "RiskNetwork":
         """Copy of the network with one risk's normalized likelihood replaced."""

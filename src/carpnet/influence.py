@@ -12,9 +12,9 @@ Block solve
 The R knockouts are not solved one network at a time. Knockout i is row i
 of a (B, R) block of likelihood vectors, equal to the network's except for
 its own risk, which is floored at ``KNOCKOUT_FLOOR``; the block shares the
-network's adjacency, so each sweep of the mean-field map is one
-``block @ adjacency`` product (:func:`carpnet.meanfield.solve_block`) and
-no network is rebuilt. Every row stops at its own convergence sweep, just
+network's graph, so each sweep of the mean-field map is one
+``network.neighbor_sums(block)`` call (:func:`carpnet.meanfield.solve_block`)
+and no network is rebuilt. Every row stops at its own convergence sweep, just
 as a one-row :func:`carpnet.meanfield.fixed_point` solve would. Rows are cut
 into blocks of at most ``BLOCK_CELLS`` cells, a bound on the working set
 that depends on R alone; blocks are the unit ``--threads`` spreads over, so
@@ -112,18 +112,17 @@ def influence_matrix(
         raise ConvergenceError("baseline steady state did not converge")
     base_ext = transition_fractions(baseline, network, params).a_ext
     size = network.size
-    adjacency = network.adjacency_matrix
     rows_per_block = max(1, BLOCK_CELLS // size)
 
     def knocked_block(start: int) -> np.ndarray:
         ids = np.arange(start, min(start + rows_per_block, size))
         likelihoods = np.tile(network.likelihoods, (ids.size, 1))
         likelihoods[np.arange(ids.size), ids] = KNOCKOUT_FLOOR
-        p, _, residuals = solve_block(likelihoods, adjacency, params, likelihoods, tol, max_iter)
+        p, _, residuals = solve_block(likelihoods, network, params, likelihoods, tol, max_iter)
         failed = ids[~(residuals <= tol)]
         if failed.size:
             raise ConvergenceError(f"steady state with risk {failed[0]} disabled did not converge")
-        _, raw_ext, _, total = transition_rates(p, p @ adjacency, likelihoods, params)
+        _, raw_ext, _, total = transition_rates(p, network.neighbor_sums(p), likelihoods, params)
         return base_ext - raw_ext / total
 
     blocks = ordered_map(knocked_block, range(0, size, rows_per_block), threads=threads)

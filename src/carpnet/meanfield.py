@@ -14,10 +14,9 @@ iteration is deterministic and independent of risk ordering. The sweep loop
 (:func:`solve_block`) runs a (B, R) block of probability rows, one per
 likelihood vector over the same graph, with one neighbor sum per sweep;
 :func:`fixed_point` is its one-row call and the knockout influence matrix
-its many-row call. The knockout blocks multiply by the dense adjacency; a
-one-row solve sums through :meth:`RiskNetwork.neighbor_sums`, a segment sum
-over the neighbor arrays on sparse graphs and the dense product on dense
-ones. Every other one-row product here goes through it too.
+its many-row call. Every neighbor sum here, of a row or a block, is one
+:meth:`RiskNetwork.neighbor_sums` call, which picks the dense product or a
+segment sum over the neighbor arrays by density and block height.
 
 Transition decomposition
 ------------------------
@@ -77,22 +76,19 @@ class SteadyState:
         object.__setattr__(self, "p_hat", p)
 
 
-def _p01(
-    p: np.ndarray, likelihoods: np.ndarray, adjacency: np.ndarray | RiskNetwork, params: ModelParams
-) -> np.ndarray:
+def _p01(p: np.ndarray, likelihoods: np.ndarray, network: RiskNetwork, params: ModelParams) -> np.ndarray:
     """Mean-field activation probability of every risk, row by row of ``p``.
 
-    ``p @ adjacency`` is each risk's expected active-neighbor count; the
-    adjacency is symmetric, so a (B, R) block needs one matrix product. A
-    network operand picks its own (:meth:`RiskNetwork.neighbor_sums`).
+    ``network.neighbor_sums(p)`` is each risk's expected active-neighbor
+    count, for one row or a (B, R) block.
     """
-    m = adjacency.neighbor_sums(p) if isinstance(adjacency, RiskNetwork) else p @ adjacency
+    m = network.neighbor_sums(p)
     return activation_prob(likelihoods, params.alpha + params.beta * m)
 
 
 def solve_block(
     likelihoods: np.ndarray,
-    adjacency: np.ndarray | RiskNetwork,
+    network: RiskNetwork,
     params: ModelParams,
     start: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -101,14 +97,14 @@ def solve_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped synchronous sweeps on a (B, R) block, each row to its own fixed point.
 
-    Row b solves the self-consistency equations of the network with
-    likelihoods ``likelihoods[b]`` and the shared ``adjacency``, the dense
-    matrix or the network itself (which sums neighbors by its density),
-    starting from ``start[b]``. A row leaves the block at the sweep where its
-    own max-norm update first drops to ``tol``, so it takes exactly the
-    sweeps a one-row solve would; a row still moving after ``max_iter``
-    sweeps keeps its last iterate. Returns ``(p, iterations, residuals)``, one entry per
-    row; row b converged iff ``residuals[b] <= tol``.
+    Row b solves the self-consistency equations of ``network``'s graph with
+    likelihoods ``likelihoods[b]``, starting from ``start[b]``; each sweep
+    sums the whole block's neighbors in one ``network.neighbor_sums`` call.
+    A row leaves the block at the sweep where its own max-norm update first
+    drops to ``tol``, so it takes exactly the sweeps a one-row solve would;
+    a row still moving after ``max_iter`` sweeps keeps its last iterate.
+    Returns ``(p, iterations, residuals)``, one entry per row; row b
+    converged iff ``residuals[b] <= tol``.
     """
     if not (tol > 0.0):
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -123,7 +119,7 @@ def solve_block(
     live = np.arange(out.shape[0])
     p, p_rec = out, survival_prob(likelihoods, params.gamma)
     for iteration in range(1, max_iter + 1):
-        p01 = _p01(p, likelihoods, adjacency, params)
+        p01 = _p01(p, likelihoods, network, params)
         new = p + damping * (p01 / (p01 + p_rec) - p)
         residual = np.max(np.abs(new - p), axis=1)
         p = new

@@ -124,10 +124,11 @@ def per_entry_network(data) -> RiskNetwork:
     risks = []
     for entry, raw, norm in zip(entries, raws, normalized):
         name = field(entry, "name")
+        value = field(entry, "category")
         try:
-            category = Category(field(entry, "category"))
+            category = Category(value)
         except ValueError as exc:
-            raise ValidationError(f"unknown category {entry.get('category')!r}") from exc
+            raise ValidationError(f"unknown category {value!r}") from exc
         risk_id = field(entry, "id")
         if type(risk_id) is not int:
             raise ValidationError(f"risk id must be an integer, got {risk_id!r}")
@@ -145,6 +146,20 @@ def dense_adjacency(network: RiskNetwork) -> np.ndarray:
         adjacency[i, j] = 1.0
         adjacency[j, i] = 1.0
     return adjacency
+
+
+class DenseOperand:
+    """A :func:`carpnet.meanfield.solve_block` operand whose neighbor sums are the dense reference ``p @ A``.
+
+    ``A`` is :func:`dense_adjacency`, so a solve with this operand multiplies
+    by the dense matrix whatever the network's density.
+    """
+
+    def __init__(self, network: RiskNetwork):
+        self.adjacency = dense_adjacency(network)
+
+    def neighbor_sums(self, p: np.ndarray) -> np.ndarray:
+        return p @ self.adjacency
 
 
 def python_neighbor_counts(network: RiskNetwork, bits) -> list[int]:

@@ -528,6 +528,7 @@ BAD_NETWORKS = {
     "scheme-unknown": _two_risks(normalization={"scheme": "zscore"}),
     "normalization-not-an-object": _two_risks(normalization="minmax"),
     "category-unknown": {"risks": [_risk(0, category="Cosmic")], "edges": []},
+    "category-missing": {"risks": [{"id": 0, "name": "a", "likelihood": 0.5}], "edges": []},
     "non-utf8": b"\xff\xfe{}",
     "deeply-nested": b"[" * 200_000 + b"]" * 200_000,
     "edge-huge-id": _two_risks(edges=[[0, 2**70]]),
@@ -585,6 +586,10 @@ COMPETING_RISK_FAULTS = {
     "unhashable-category-then-bool-id": (
         [_risk(0, category=["Economic"]), _risk(True)],
         "unknown category ['Economic']",
+    ),
+    "category-missing-then-bool-id": (
+        [{"id": 0, "name": "a", "likelihood": 0.5}, _risk(True)],
+        "risk entry missing field 'category': {'id': 0, 'name': 'a', 'likelihood': 0.5}",
     ),
 }
 
@@ -704,15 +709,15 @@ def _readme_cli_commands() -> list[list[str]]:
 
 
 OUTPUT_FLAGS = ("--output", "--network-out", "--panel-out")
+SUBCOMMANDS = (
+    "generate", "fit", "steady-state", "transitions", "simulate", "temporal-influence", "influence", "category-influence",
+)
 
 
 class TestReadmeExamples:
     def test_command_line_block_runs_verbatim(self, tmp_path, monkeypatch):
         commands = _readme_cli_commands()
-        assert [argv[0] for argv in commands] == [
-            "generate", "fit", "steady-state", "transitions", "simulate", "temporal-influence", "influence",
-            "category-influence",
-        ]
+        assert tuple(argv[0] for argv in commands) == SUBCOMMANDS
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("CARPNET_THREADS", raising=False)
         for argv in commands:
@@ -922,7 +927,7 @@ class TestTableCells:
         )
 
 
-HEAVY_MODULES = ("networkx", "scipy", "scipy.optimize", "scipy.sparse")
+HEAVY_MODULES = ("scipy", "scipy.optimize", "scipy.sparse")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -960,50 +965,30 @@ class TestImportFootprint:
         assert loaded == ""  # loading a network and a panel imports no analysis module and no thread pool
         assert missing == ""  # import carpnet.cli imports all six
 
-    @pytest.mark.parametrize("command", ["steady-state", "transitions", "influence"])
-    def test_mean_field_commands_load_no_optimizer_or_sparse_module(self, tmp_path, command):
-        network, _ = _generate(tmp_path, nodes=30, edges=20)  # sparse: 2E * 20 < R**2
-        argv = [command, "--network", str(network), *PARAM_FLAGS, "--output", str(tmp_path / "out.csv")]
-        loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
-        assert loaded == []
-
-    def test_fit_loads_no_optimizer(self, tmp_path):
-        network, panel = _generate(tmp_path)  # dense: 2E * 20 >= R**2
-        argv = ["fit", "--network", str(network), "--panel", str(panel), "--output", str(tmp_path / "fit.json")]
-        loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
-        assert loaded == []  # dense graphs count active neighbors through a dense product
-
-    def test_fit_on_a_sparse_network_loads_no_scipy(self, tmp_path):
-        network, panel = _generate(tmp_path, nodes=30, edges=20)  # sparse: 2E * 20 < R**2
-        argv = ["fit", "--network", str(network), "--panel", str(panel), "--output", str(tmp_path / "fit.json")]
-        loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
-        assert loaded == []  # sparse graphs count active neighbors over neighbor_arrays
-
-    @staticmethod
-    def _monte_carlo_argv(tmp_path, command, nodes, edges):
-        network, _ = _generate(tmp_path, nodes=nodes, edges=edges)
-        out = str(tmp_path / "out.csv")
-        return {
-            "generate": ["generate", "--nodes", str(nodes), "--edges", str(edges), "--likelihood-range", "0.45",
-                         "0.8", *PARAM_FLAGS, "--panel-length", "40", "--seed", "11",
-                         "--network-out", str(tmp_path / "net2.json"), "--panel-out", out],
-            "simulate": ["simulate", "--network", str(network), *PARAM_FLAGS, "--runs", "20", "--horizon", "10",
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("nodes, dense", [(10, True), (30, False)], ids=["dense", "sparse"])
+    def test_no_command_imports_scipy(self, tmp_path, nodes, dense, command):
+        network, panel, out = (str(tmp_path / name) for name in ("net.json", "panel.csv", "out.csv"))
+        generate = ["generate", "--nodes", str(nodes), "--edges", "20", "--likelihood-range", "0.45", "0.8",
+                    *PARAM_FLAGS, "--panel-length", "40", "--seed", "11", "--network-out", network, "--panel-out", panel]
+        argv = {
+            "generate": generate,
+            "fit": ["fit", "--network", network, "--panel", panel, "--output", str(tmp_path / "fit.json")],
+            "simulate": ["simulate", "--network", network, *PARAM_FLAGS, "--runs", "20", "--horizon", "10",
                          "--output", out],
-            "temporal-influence": ["temporal-influence", "--network", str(network), *PARAM_FLAGS, "--source", "0",
+            "temporal-influence": ["temporal-influence", "--network", network, *PARAM_FLAGS, "--source", "0",
                                    "--runs", "10", "--horizon", "5", "--baseline", "steady", "--output", out],
-        }[command]
-
-    @pytest.mark.parametrize("command", ["generate", "simulate", "temporal-influence"])
-    def test_monte_carlo_commands_on_a_dense_network_load_no_scipy(self, tmp_path, command):
-        argv = self._monte_carlo_argv(tmp_path, command, nodes=10, edges=20)  # dense: 2E * 20 >= R**2
-        loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
-        assert loaded == []
-
-    @pytest.mark.parametrize("command", ["generate", "simulate", "temporal-influence"])
-    def test_monte_carlo_commands_on_a_sparse_network_load_no_scipy(self, tmp_path, command):
-        argv = self._monte_carlo_argv(tmp_path, command, nodes=30, edges=20)  # sparse: 2E * 20 < R**2
-        loaded = _loaded_heavy_modules(f"from carpnet.cli import run\nassert run({argv!r}) == 0")
-        assert loaded == []
+        }.get(command, [command, "--network", network, *PARAM_FLAGS, "--output", out])
+        if command != "generate":
+            assert run(generate) == 0
+        # with None in sys.modules, importing scipy or any scipy submodule raises
+        probe = f"import sys\nsys.modules['scipy'] = None\nfrom carpnet.cli import run\nassert run({argv!r}) == 0\n"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert load_network(network).dense_products is dense  # 2E * 20 >= R**2 with 20 edges
 
 
 class TestDenseMatrixCache:
@@ -1019,7 +1004,7 @@ class TestDenseMatrixCache:
         assert run(argv) == 0
         (net,) = loaded
         assert net.dense_products
-        cached = [name for name in ("adjacency_matrix", "adjacency_float32", "adjacency_csr") if name in net.__dict__]
+        cached = [name for name in ("adjacency_matrix", "adjacency_float32") if name in net.__dict__]
         assert cached == ["adjacency_matrix"]  # the counts went through the mean-field sums' matrix
 
 

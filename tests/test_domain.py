@@ -26,7 +26,6 @@ from carpnet import (
 from carpnet.domain import _read_panel_csv, _saved_panel
 from carpnet.dynamics import _step_block
 from tests.helpers import (
-    bfs_distances,
     canonical_edges,
     dense_adjacency,
     make_network,
@@ -123,8 +122,6 @@ class TestRiskNetwork:
         assert list(net.degrees) == [2, 2, 3, 1]
         assert net.average_degree == pytest.approx(2.0)
         assert net.edge_probability == pytest.approx(4 / 6)
-        assert net.average_clustering == pytest.approx(7 / 12, rel=1e-12)
-        assert net.diameter == 2
         assert net.neighbors(2) == (0, 1, 3)
 
     def test_adjacency_matrix_is_symmetric_with_zero_diagonal(self):
@@ -132,10 +129,6 @@ class TestRiskNetwork:
         mat = net.adjacency_matrix
         assert (mat == mat.T).all()
         assert (np.diag(mat) == 0).all()
-
-    def test_disconnected_network_has_infinite_diameter(self):
-        net = make_network([0.3, 0.4, 0.5], [(0, 1)])
-        assert net.diameter == math.inf
 
     def test_edges_are_canonicalized(self):
         net = make_network([0.3, 0.4, 0.5], [(2, 0), (1, 0)])
@@ -188,42 +181,6 @@ class TestRiskNetwork:
                 Risk(0, "a", Category.ECONOMIC, 0.5, bad)
 
 
-def brute_force_clustering(size: int, edges) -> float:
-    """Mean over risks of the share of neighbor pairs that are linked, by enumeration."""
-    linked = {frozenset(edge) for edge in edges}
-    total = 0.0
-    for v in range(size):
-        neighbors = [u for u in range(size) if frozenset((u, v)) in linked]
-        pairs = list(itertools.combinations(neighbors, 2))
-        if pairs:  # fewer than two neighbors counts as 0
-            total += sum(frozenset(pair) in linked for pair in pairs) / len(pairs)
-    return total / size
-
-
-def bfs_diameter(size: int, edges) -> float:
-    longest = 0
-    for source in range(size):
-        distances = bfs_distances(size, edges, source)
-        if len(distances) < size:
-            return math.inf
-        longest = max(longest, max(distances.values()))
-    return longest
-
-
-STAR = [(0, leaf) for leaf in range(1, 6)]
-GRAPHS = {  # name -> (size, edges, average clustering, diameter)
-    "single-risk": (1, [], 0.0, 0),
-    "isolated-risks": (3, [], 0.0, math.inf),
-    "one-edge": (2, [(0, 1)], 0.0, 1),
-    "path-degree-1-ends": (4, [(0, 1), (1, 2), (2, 3)], 0.0, 3),
-    "triangle-plus-isolated-edge": (5, [(0, 1), (0, 2), (1, 2), (3, 4)], 0.6, math.inf),
-    "triangle-plus-isolated-risk": (4, [(0, 1), (0, 2), (1, 2)], 0.75, math.inf),
-    "star": (6, STAR, 0.0, 2),
-    "star-with-linked-leaves": (6, STAR + [(1, 2)], (0.1 + 1 + 1) / 6, 2),
-    "complete-4": (4, list(itertools.combinations(range(4), 2)), 1.0, 1),
-}
-
-
 ADJACENCY_CASES = {
     "no-edges": (5, ()),
     "isolated-risks": (7, ((1, 2), (5, 2), (3, 5))),  # risks 0, 4 and 6 have no neighbor
@@ -253,28 +210,25 @@ class TestAdjacencyViews:
         assert np.array_equal(net.adjacency_matrix, dense)
         assert net.adjacency_float32.dtype == np.float32
         assert np.array_equal(net.adjacency_float32, dense)
-        csr = net.adjacency_csr
-        assert csr.dtype == np.int32
-        assert csr.shape == (size, size)
-        assert np.array_equal(csr.toarray(), dense)
-        rows = [csr.indices[csr.indptr[i]:csr.indptr[i + 1]].tolist() for i in range(size)]
-        assert rows == [sorted(ns) for ns in expected]
 
 
-NEIGHBOR_SUM_CASES = {  # name -> (size, edges, dense_products)
-    "empty-graph": (5, (), False),
-    "single-risk": (1, (), False),
+NEIGHBOR_SUM_CASES = {  # name -> (size, edges, dense_products, whether a block of rows takes the dense product)
+    "empty-graph": (5, (), False, False),
+    "single-risk": (1, (), False, False),
     # risks 0, 4 and 6..29 have no neighbor, the last ones at the end of the arrays
-    "isolated-and-trailing-isolated": (30, ((1, 2), (5, 2), (3, 5)), False),
-    "isolated-dense": (7, ((1, 2), (5, 2), (3, 5)), True),
-    "below-threshold": (20, tuple(zip(range(9), range(1, 10))), False),  # 2E * 20 = 360 < R**2
-    "at-threshold": (20, tuple(zip(range(10), range(1, 11))), True),  # 2E * 20 = 400 = R**2
-    "random-sparse": (200, random_graph_edges(np.random.default_rng(9), 200, 400), False),
+    "isolated-and-trailing-isolated": (30, ((1, 2), (5, 2), (3, 5)), False, False),
+    "isolated-dense": (7, ((1, 2), (5, 2), (3, 5)), True, True),
+    "below-threshold": (20, tuple(zip(range(9), range(1, 10))), False, True),  # 2E * 20 = 360 < R**2
+    "at-threshold": (20, tuple(zip(range(10), range(1, 11))), True, True),  # 2E * 20 = 400 = R**2
+    "below-block-threshold": (40, tuple(zip(range(9), range(1, 10))), False, False),  # 2E * 80 = 1440 < R**2
+    "at-block-threshold": (40, tuple(zip(range(10), range(1, 11))), False, True),  # 2E * 80 = 1600 = R**2
+    "random-sparse": (200, random_graph_edges(np.random.default_rng(9), 200, 400), False, True),
+    "random-sparse-blocks": (200, random_graph_edges(np.random.default_rng(9), 200, 200), False, False),
 }
 
 
 class TestNeighborSums:
-    """``neighbor_sums`` against the dense reference ``p @ A`` on both sides of the density rule."""
+    """``neighbor_sums`` against the dense reference ``p @ A`` on both sides of the density rules."""
 
     @staticmethod
     def _check(net, p):
@@ -283,15 +237,19 @@ class TestNeighborSums:
         assert sums.shape == p.shape
         np.testing.assert_allclose(sums, p @ dense_adjacency(net), rtol=0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("size, edges, dense", NEIGHBOR_SUM_CASES.values(), ids=list(NEIGHBOR_SUM_CASES))
-    def test_cases_match_the_dense_reference(self, size, edges, dense):
+    @pytest.mark.parametrize(
+        "size, edges, dense, block_dense", NEIGHBOR_SUM_CASES.values(), ids=list(NEIGHBOR_SUM_CASES)
+    )
+    def test_cases_match_the_dense_reference(self, size, edges, dense, block_dense):
         net = make_network([0.5] * size, edges)
         assert net.dense_products is dense
         p = np.random.default_rng(size).uniform(size=(3, size))
         self._check(net, p[0])
-        self._check(net, p)
+        self._check(net, p[:1])
         self._check(net, p[:0])
         assert ("adjacency_matrix" in net.__dict__) is dense
+        self._check(net, p)
+        assert ("adjacency_matrix" in net.__dict__) is block_dense
 
     @settings(deadline=None, max_examples=200)
     @given(small_graphs(), st.data())
@@ -331,10 +289,9 @@ class TestNeighborCounts:
         assert one.dtype == np.int32
         assert one.tolist() == counts[3].tolist()
         assert net.neighbor_counts(bits.T.copy().T).tolist() == counts.tolist()  # a strided block
-        # dense graphs count through the float32 view, sparse ones over neighbor_arrays; never the CSR one
+        # dense graphs count through the float32 view, sparse ones over neighbor_arrays
         assert "adjacency_matrix" not in net.__dict__
         assert ("adjacency_float32" in net.__dict__) is dense
-        assert "adjacency_csr" not in net.__dict__
 
     @settings(deadline=None, max_examples=200)
     @given(small_graphs(), st.data())
@@ -376,7 +333,6 @@ class TestCarriedCounts:
         hub_on = np.ones(size)
         hub_on[0] = 0.0
         self._step(net, np.zeros((1, size), dtype=np.int8), hub_on)  # risk 0 alone turns on
-        assert "adjacency_csr" not in net.__dict__
 
     @settings(deadline=None, max_examples=200)
     @given(small_graphs(), st.data())
@@ -453,24 +409,6 @@ class TestRiskColumns:
             replace(loaded, normalized_likelihood=1.0)  # replace runs Risk's own checks
 
 
-class TestGraphStatistics:
-    @pytest.mark.parametrize("size, edges, clustering, diameter", GRAPHS.values(), ids=GRAPHS.keys())
-    def test_named_graphs(self, size, edges, clustering, diameter):
-        net = make_network([0.5] * size, edges)
-        assert brute_force_clustering(size, edges) == pytest.approx(clustering, rel=1e-12, abs=1e-15)
-        assert bfs_diameter(size, edges) == diameter
-        assert net.average_clustering == pytest.approx(clustering, rel=1e-12, abs=1e-15)
-        assert net.diameter == diameter
-
-    @settings(deadline=None)
-    @given(small_graphs())
-    def test_match_brute_force_on_random_graphs(self, graph):
-        size, edges = graph
-        net = make_network([0.5] * size, edges)
-        assert net.average_clustering == pytest.approx(brute_force_clustering(size, edges), rel=1e-12, abs=1e-15)
-        assert net.diameter == bfs_diameter(size, edges)
-
-
 class TestNetworkFiles:
     def _sample(self):
         return make_network(
@@ -541,6 +479,15 @@ class TestNetworkFiles:
         path = tmp_path / "net.json"
         path.write_text(json.dumps({"risks": [{"id": 0, "name": "a"}], "edges": []}))
         with pytest.raises(ValidationError):
+            load_network(path)
+
+    @pytest.mark.parametrize("key", ["id", "name", "category", "likelihood"])
+    def test_missing_field_error_names_the_field(self, tmp_path, key):
+        entry = {"id": 0, "name": "a", "category": "Economic", "likelihood": 0.5}
+        del entry[key]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"risks": [entry], "edges": []}))
+        with pytest.raises(ValidationError, match=f"^risk entry missing field '{key}': "):
             load_network(path)
 
     def test_unknown_category_is_an_error(self, tmp_path):

@@ -11,16 +11,18 @@ from carpnet import (
     InitMode,
     KNOCKOUT_FLOOR,
     ModelParams,
+    RiskNetwork,
     ValidationError,
     category_influence,
     fixed_point,
+    generate_synthetic,
     influence_matrix,
     knockout,
     transition_fractions,
 )
 from carpnet.influence import BLOCK_CELLS
 from carpnet.meanfield import solve_block
-from tests.helpers import PARAMS_FAST, PARAMS_SLOW, make_network, random_network
+from tests.helpers import PARAMS_FAST, PARAMS_SLOW, DenseOperand, make_network, random_network
 
 STAR_PARAMS = ModelParams(0.02, 0.03, 1.2)
 
@@ -84,19 +86,36 @@ class TestBlockSolve:
         threaded = influence_matrix(network, PARAMS_FAST, threads=3)
         assert np.array_equal(serial.values, threaded.values)
 
+    @pytest.mark.parametrize(
+        "nodes, edges, built",
+        [(300, 400, False), (300, 900, True), (150, 1500, True)],
+        ids=["sparse", "sparse-rows-dense-blocks", "dense"],
+    )
+    def test_matches_the_dense_operand_reference(self, monkeypatch, nodes, edges, built):
+        network, _ = generate_synthetic(nodes, edges, (0.5, 0.8), PARAMS_FAST, 1, seed=0)
+        values = influence_matrix(network, PARAMS_FAST).values
+        # sparse graphs sum rows over the neighbor arrays; blocks take the dense product from 2E * 80 >= R**2
+        assert ("adjacency_matrix" in network.__dict__) is built
+        operand = DenseOperand(network)
+        monkeypatch.setattr(RiskNetwork, "neighbor_sums", lambda self, p: operand.neighbor_sums(p))
+        reference = influence_matrix(network, PARAMS_FAST).values
+        if network.dense_products:
+            assert np.array_equal(values, reference)
+        else:
+            assert np.abs(values - reference).max() <= 1e-14
+
     def test_each_row_takes_the_sweeps_of_its_own_solve(self):
         network = star_network()
         likelihoods = np.tile(network.likelihoods, (network.size, 1))
         np.fill_diagonal(likelihoods, KNOCKOUT_FLOOR)
-        _, iterations, _ = solve_block(likelihoods, network.adjacency_matrix, STAR_PARAMS, likelihoods)
+        _, iterations, _ = solve_block(likelihoods, DenseOperand(network), STAR_PARAMS, likelihoods)
         expected = [fixed_point(knockout(network, i), STAR_PARAMS).iterations for i in range(network.size)]
         assert iterations.tolist() == expected
 
     def test_exhausted_rows_report_max_iter_and_a_large_residual(self):
         network = star_network()
         likelihoods = np.tile(network.likelihoods, (2, 1))
-        adjacency = network.adjacency_matrix
-        _, iterations, residuals = solve_block(likelihoods, adjacency, STAR_PARAMS, likelihoods, max_iter=1)
+        _, iterations, residuals = solve_block(likelihoods, DenseOperand(network), STAR_PARAMS, likelihoods, max_iter=1)
         assert iterations.tolist() == [1, 1]
         assert (residuals > 1e-10).all()
 

@@ -17,7 +17,7 @@ from carpnet import (
     transition_fractions,
 )
 from carpnet.meanfield import solve_block
-from tests.helpers import PARAMS_FAST, dense_adjacency, make_network, random_network
+from tests.helpers import PARAMS_FAST, DenseOperand, dense_adjacency, make_network, random_network
 
 TWO_NODE_PARAMS = ModelParams(0.1, 0.05, 1.0)
 
@@ -104,7 +104,7 @@ class TestSparseSolve:
         for mode in (InitMode.ZEROS, InitMode.LIKELIHOODS):
             steady = fixed_point(net, PARAMS_FAST, init=mode)
             start = np.zeros(nodes) if mode is InitMode.ZEROS else net.likelihoods
-            p, iterations, _ = solve_block(net.likelihoods[None], dense_adjacency(net), PARAMS_FAST, start[None])
+            p, iterations, _ = solve_block(net.likelihoods[None], DenseOperand(net), PARAMS_FAST, start[None])
             assert np.abs(steady.p_hat - p[0]).max() <= 1e-14
             assert steady.iterations == iterations[0]
 
