@@ -284,7 +284,6 @@ def _simulate(args: argparse.Namespace, network, params: ModelParams):
         initial_state=args.initial_state,
         threads=_resolve_threads(args.threads),
     )
-    # the mean-field solve first: on a dense graph its float64 matrix then also counts the runs' neighbors
     steady = fixed_point(network, params)
     counts = simulate(network, params, config).counts
     if not steady.converged:

@@ -399,7 +399,7 @@ class RiskNetwork:
 
     @property
     def dense_products(self) -> bool:
-        """Whether :meth:`neighbor_sums` and :meth:`neighbor_counts` multiply by a dense matrix.
+        """Whether :meth:`neighbor_sums` and :meth:`neighbor_counts` multiply by ``adjacency_matrix``.
 
         They do once at least one ordered pair of risks in ``DENSE_PAIRS``
         (20, so 5%) is an edge, ``2E * DENSE_PAIRS >= R**2``. For one
@@ -407,8 +407,8 @@ class RiskNetwork:
         ``2E * 14 = R**2`` for R=1000 and at ``2E * 30 = R**2`` for R=300
         (2-core Xeon, numpy 2.4, one OpenBLAS thread). Below it both work
         over ``neighbor_arrays``, except :meth:`neighbor_sums` on a block of
-        rows, which has its own rule; that method alone picks the operand of
-        every mean-field product, the knockout blocks' included.
+        rows, which has its own rule. Only this class reads the rule: every
+        mean-field sum and every active-neighbor count is asked of it.
         """
         return 2 * self.edge_count * DENSE_PAIRS >= self.size**2
 
@@ -416,12 +416,12 @@ class RiskNetwork:
         """Each risk's sum of ``p`` over its neighbors, ``p @ adjacency_matrix``.
 
         ``p`` is a probability row of R values or a (B, R) block of rows.
-        Dense graphs (``dense_products``) take the matrix product, and so do
-        blocks of two or more rows from ``2E * DENSE_BLOCK_PAIRS >= R**2``:
-        the knockout blocks ran faster by it from ``2E * 180 = R**2`` at
-        R=300, ``2E * 77`` at R=1000 and ``2E * 55`` at R=2000 (same
-        machine). Otherwise each row is one gather and segment sum over
-        ``neighbor_arrays``, and the dense matrix is never built.
+        Dense graphs (``dense_products``) take the product with the matrix
+        :meth:`neighbor_counts` uses, and so do blocks of two or more rows
+        from ``2E * DENSE_BLOCK_PAIRS >= R**2``: the knockout blocks ran
+        faster by it from ``2E * 180 = R**2`` at R=300, ``2E * 77`` at
+        R=1000 and ``2E * 55`` at R=2000 (same machine). Otherwise each row
+        is one segment sum over ``neighbor_arrays``, with no dense matrix.
         """
         if self.dense_products or (p.size > self.size and 2 * self.edge_count * DENSE_BLOCK_PAIRS >= self.size**2):
             return p @ self.adjacency_matrix
@@ -434,27 +434,40 @@ class RiskNetwork:
     def neighbor_counts(self, bits: np.ndarray) -> np.ndarray:
         """Each risk's exact int32 count of active neighbors in the int8 0/1 ``bits``.
 
-        ``bits`` is a state of R bits or a (B, R) block of states, risks on the
-        last axis. Dense graphs (``dense_products``) multiply by a dense 0/1
-        matrix, whose sums of 0/1 terms are exact: ``adjacency_matrix`` once it
-        is built (by :meth:`neighbor_sums`), so a network keeps one dense
-        matrix, and otherwise ``adjacency_float32``, exact below
-        2**24 where a degree is below R. Sparse graphs scatter over the active
-        cells (:meth:`_scatter`).
+        ``bits`` is a state of R bits or any block of states, risks on the
+        last axis. Dense graphs (``dense_products``) multiply by the float64
+        ``adjacency_matrix``. Sparse graphs scatter (:meth:`_scatter`) the
+        changes from each row of R to the next, from an all-dormant row, and
+        sum them over the rows: cheap where rows repeat, as consecutive
+        months and the copies of a Monte Carlo start do. Both are exact.
         """
         if self.dense_products:
-            matrix = self.__dict__.get("adjacency_matrix")
-            return (bits @ (self.adjacency_float32 if matrix is None else matrix)).astype(np.int32)
-        return self._scatter(np.flatnonzero(bits != 0), bits.size).reshape(bits.shape)
+            return (bits @ self.adjacency_matrix).astype(np.int32)
+        changes = np.diff(bits.reshape(-1, self.size), axis=0, prepend=np.int8(0))
+        cells = np.flatnonzero(changes != 0)
+        counts = self._scatter(cells, changes.size, changes.ravel()[cells]).reshape(changes.shape)
+        return np.cumsum(counts, axis=0, out=counts).reshape(bits.shape)
 
-    def _scatter(self, cells: np.ndarray, slots: int, signs: np.ndarray | None = None) -> np.ndarray:
+    def update_counts(self, counts: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
+        """Turn ``counts``, the :meth:`neighbor_counts` of ``old``, into those of ``new`` in place.
+
+        Dense graphs recount ``new``. Sparse graphs add the scatter of the cells
+        that flip, about 1.5% per Monte Carlo step at R=1000 and mean degree 10.
+        """
+        if self.dense_products:
+            counts[...] = self.neighbor_counts(new)
+            return
+        cells = np.flatnonzero(new != old)
+        counts += self._scatter(cells, counts.size, new.ravel()[cells] * 2 - 1).reshape(counts.shape)  # +1 on, -1 off
+
+    def _scatter(self, cells: np.ndarray, slots: int, signs: np.ndarray) -> np.ndarray:
         """The flat int32 change of ``slots`` active-neighbor counts when the flat ``cells`` change.
 
         Counts and cells are laid out as rows of R, a cell being
-        ``row * R + risk``. Each cell adds its sign, +1 (turned on, the
-        default) or -1 (turned off), to the count of every neighbor of its
-        risk in its row: ``np.repeat`` over the cells' degrees lays out every
-        (cell, neighbor) pair, and one ``bincount`` sums them exactly.
+        ``row * R + risk``. Each cell adds its sign, +1 (turned on) or -1
+        (turned off), to the count of every neighbor of its risk in its row:
+        ``np.repeat`` over the cells' degrees lays out every (cell, neighbor)
+        pair, and one ``bincount`` sums them exactly.
         """
         indptr, indices = self.neighbor_arrays
         risks = cells % self.size
@@ -464,24 +477,15 @@ class RiskNetwork:
         # the position in indices of each cell's neighbors: starts[c], starts[c] + 1, ... for cell c
         positions = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + degrees, degrees)
         targets = np.repeat(cells - risks, degrees) + indices[positions]
-        weights = None if signs is None else np.repeat(signs, degrees)
-        return np.bincount(targets, weights, minlength=slots).astype(np.int32)
-
-    def _dense(self, dtype: type) -> np.ndarray:
-        mat = np.zeros((self.size, self.size), dtype=dtype)
-        mat[self._neighbor_entries] = 1
-        mat.setflags(write=False)
-        return mat
+        return np.bincount(targets, np.repeat(signs, degrees), minlength=slots).astype(np.int32)
 
     @cached_property
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense float64 0/1 adjacency: ``neighbor_sums``' operand on dense graphs."""
-        return self._dense(np.float64)
-
-    @cached_property
-    def adjacency_float32(self) -> np.ndarray:
-        """Dense float32 0/1 adjacency: ``neighbor_counts``' operand on dense graphs without ``adjacency_matrix``."""
-        return self._dense(np.float32)
+        """Dense float64 0/1 adjacency: the operand of every dense neighbor sum and count."""
+        mat = np.zeros((self.size, self.size))
+        mat[self._neighbor_entries] = 1
+        mat.setflags(write=False)
+        return mat
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -26,7 +26,9 @@ step consumes exactly R uniforms from its stream, in risk-id order. Philox
 continues a stream across calls, so drawing S steps' uniforms at once equals
 S single-step draws; Monte Carlo ensembles use this to step all their runs
 as one batched (runs × R) block through the same kernel as :func:`step`,
-with the same draws and therefore the same states.
+with the same draws and therefore the same states. The kernel takes each
+state's exact active-neighbor counts from its caller, who asks the network
+(:meth:`RiskNetwork.neighbor_counts`, then :meth:`RiskNetwork.update_counts`).
 """
 
 from __future__ import annotations
@@ -145,29 +147,20 @@ def _step_block(
     uniforms: np.ndarray,
     network: RiskNetwork,
     params: ModelParams,
-    k: np.ndarray | None = None,
+    counts: np.ndarray,
 ) -> np.ndarray:
     """One synchronous update of a (B × R) block of states against (B × R) uniforms.
 
-    Row b of ``bits`` is one run's 0/1 state and row b of ``uniforms`` its R
-    draws for this step; a 1-D state with R uniforms is the B = 1 case.
-    ``k`` is the exact int32 count of active neighbors in ``bits``, carried
-    from step to step: the cells that flip add their scatter
-    (:meth:`RiskNetwork._scatter`) to it in place, so it counts the new state.
-    Without ``k`` the counts come from :meth:`RiskNetwork.neighbor_counts`.
-    Either way they are exact, so the result is the same at any degree and
-    on any operand. Inputs are not validated: callers own the shapes and the
-    0/1 contract.
+    Row b of ``bits`` is one run's 0/1 state, row b of ``uniforms`` its R
+    draws for this step and row b of ``counts`` the exact active-neighbor
+    counts of its state (:meth:`RiskNetwork.neighbor_counts`); a 1-D state
+    is the B = 1 case. Inputs are not validated: callers own the shapes and
+    the 0/1 contract.
     """
     likelihoods = network.likelihoods
-    counts = network.neighbor_counts(bits) if k is None else k
     p_act = activation_prob(likelihoods, params.alpha + params.beta * counts)
     p_con = activation_prob(likelihoods, params.gamma)
-    new = (uniforms < np.where(bits == 0, p_act, p_con)).view(np.int8)
-    if k is not None:
-        cells = np.flatnonzero(new != bits)
-        k += network._scatter(cells, k.size, new.ravel()[cells] * 2 - 1).reshape(k.shape)  # +1 on, -1 off
-    return new
+    return (uniforms < np.where(bits == 0, p_act, p_con)).view(np.int8)
 
 
 def step(state: NetworkState, network: RiskNetwork, params: ModelParams, rng: np.random.Generator) -> NetworkState:
@@ -179,7 +172,7 @@ def step(state: NetworkState, network: RiskNetwork, params: ModelParams, rng: np
     ``rng``, one per risk in id order, regardless of the state.
     """
     _check_state(state, network)
-    bits = _step_block(state.bits, rng.random(network.size), network, params)
+    bits = _step_block(state.bits, rng.random(network.size), network, params, network.neighbor_counts(state.bits))
     return NetworkState(bits, state.time + 1)
 
 

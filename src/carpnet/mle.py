@@ -60,7 +60,8 @@ class PanelStats:
     active->dormant transitions per risk. Evaluations read only compact forms
     of them: the dormant-stay weights ``w00 = c00.T @ y`` per count, the
     nonzero ``c01`` cells as flat arrays, the recovery sum ``n10 @ y`` and the
-    risks with ``n11 > 0``, so each costs O(nonzero cells), not O(R K).
+    risks with ``n11 > 0``, so each costs O(nonzero cells), not O(R K). The
+    counts k of every earlier month come from one :meth:`RiskNetwork.neighbor_counts`.
     """
 
     def __init__(self, panel: EventPanel, network: RiskNetwork) -> None:
@@ -75,7 +76,7 @@ class PanelStats:
         size = network.size
         width = int(network.degrees.max(initial=0)) + 1
         # flat (risk, k) index, k = active neighbors at the earlier month, counted exactly as int32
-        cell = _month_counts(old, network)
+        cell = network.neighbor_counts(old)
         cell += np.arange(0, size * width, width, dtype=np.int32)
         dormant = old == 0
         self.c01 = np.bincount(cell[dormant & (new == 1)], minlength=size * width).reshape(size, width)
@@ -156,22 +157,6 @@ class PanelStats:
         # below exp's range gives exactly that and leaves every finite u's f unchanged
         u01 = np.maximum(self._y01 * e01, -1e3)
         return u01, _bounded_slope(u01), alpha / e01, beta * self._k01 / e01
-
-
-def _month_counts(months: np.ndarray, network: RiskNetwork) -> np.ndarray:
-    """The (T, R) int32 active-neighbor counts of the T states in the rows of ``months``.
-
-    Dense graphs take one product over every month. On sparse ones the
-    months change little, so each month's counts are the previous month's
-    plus the scatter of the risks that changed: one scatter of every change
-    from an all-dormant month -1, then a running sum over the months.
-    """
-    if network.dense_products:
-        return network.neighbor_counts(months)
-    changes = np.diff(months, axis=0, prepend=np.zeros((1, network.size), dtype=months.dtype))
-    cells = np.flatnonzero(changes != 0)
-    counts = network._scatter(cells, changes.size, changes.ravel()[cells]).reshape(changes.shape)
-    return np.cumsum(counts, axis=0, out=counts)
 
 
 def _bounded_slope(u: np.ndarray) -> np.ndarray:

@@ -140,11 +140,8 @@ def _ensemble(network: RiskNetwork, params: ModelParams, config: SimulationConfi
     sized from R alone: one chunk holds at most ``BLOCK_CELLS`` uniforms, or
     one step of one run when R exceeds that.
 
-    On a sparse graph each block carries its int32 active-neighbor counts,
-    scattered over the active cells once at the start and then updated by
-    the cells that flip in each step, which are few: about 1.5% per step at
-    R=1000 and mean degree 10. Dense graphs recount every step with one
-    dense product, which there beats the update.
+    Each block's active-neighbor counts come from :meth:`RiskNetwork.neighbor_counts`
+    at the start and from :meth:`RiskNetwork.update_counts` after each step.
     """
     size = network.size
     rows = max(1, BLOCK_CELLS // size)  # (run, step) rows of R uniforms per chunk
@@ -155,7 +152,7 @@ def _ensemble(network: RiskNetwork, params: ModelParams, config: SimulationConfi
         rngs = [philox_stream(config.seed, r) for r in range(first, last)]
         bits = start(rngs)
         reps = (len(bits) // len(rngs), 1)
-        k = None if network.dense_products else network.neighbor_counts(bits)
+        counts = network.neighbor_counts(bits)
         yield first, 0, bits
         chunk = np.empty((len(rngs), steps_per_chunk, size))
         for t in range(1, config.horizon):
@@ -164,7 +161,9 @@ def _ensemble(network: RiskNetwork, params: ModelParams, config: SimulationConfi
                 steps = min(steps_per_chunk, config.horizon - t)
                 for rng, out in zip(rngs, chunk):
                     rng.random(out=out[:steps])
-            bits = _step_block(bits, np.tile(chunk[:, s], reps), network, params, k)
+            new = _step_block(bits, np.tile(chunk[:, s], reps), network, params, counts)
+            network.update_counts(counts, bits, new)
+            bits = new
             yield first, t, bits
 
 

@@ -208,8 +208,6 @@ class TestAdjacencyViews:
         assert net.adjacency == tuple(tuple(sorted(ns)) for ns in expected)
         assert net.adjacency_matrix.dtype == np.float64
         assert np.array_equal(net.adjacency_matrix, dense)
-        assert net.adjacency_float32.dtype == np.float32
-        assert np.array_equal(net.adjacency_float32, dense)
 
 
 NEIGHBOR_SUM_CASES = {  # name -> (size, edges, dense_products, whether a block of rows takes the dense product)
@@ -289,9 +287,14 @@ class TestNeighborCounts:
         assert one.dtype == np.int32
         assert one.tolist() == counts[3].tolist()
         assert net.neighbor_counts(bits.T.copy().T).tolist() == counts.tolist()  # a strided block
-        # dense graphs count through the float32 view, sparse ones over neighbor_arrays
-        assert "adjacency_matrix" not in net.__dict__
-        assert ("adjacency_float32" in net.__dict__) is dense
+        repeated = bits[[2, 2, 3, 3, 3, 0, 0, 2]]  # rows that repeat, as months and tiled starts do
+        assert net.neighbor_counts(repeated).tolist() == [python_neighbor_counts(net, row) for row in repeated]
+        cube = bits[[0, 3, 1, 2, 3, 3]].reshape(3, 2, size)  # a 3-D block
+        cube_counts = net.neighbor_counts(cube)
+        assert cube_counts.dtype == np.int32
+        assert cube_counts.tolist() == [[python_neighbor_counts(net, row) for row in pair] for pair in cube]
+        # dense graphs count through adjacency_matrix, sparse ones over neighbor_arrays
+        assert ("adjacency_matrix" in net.__dict__) is dense
 
     @settings(deadline=None, max_examples=200)
     @given(small_graphs(), st.data())
@@ -307,32 +310,36 @@ class TestNeighborCounts:
 
 
 class TestCarriedCounts:
-    """The counts ``_step_block`` carries, updated by the cells that flip, against the pure-Python count."""
+    """Counts carried through ``_step_block`` steps by ``update_counts``, against the pure-Python count."""
 
     PARAMS = ModelParams(0.5, 0.3, 1.5)
 
-    def _step(self, net, bits, uniforms):
-        k = net.neighbor_counts(bits)
-        new = _step_block(bits, uniforms, net, self.PARAMS, k)
-        assert new.tolist() == _step_block(bits, uniforms, net, self.PARAMS).tolist()  # recounted
-        assert k.dtype == np.int32
-        assert k.shape == bits.shape
-        assert np.atleast_2d(k).tolist() == [python_neighbor_counts(net, row) for row in np.atleast_2d(new)]
-        return new
+    def _carry(self, net, bits, steps):
+        """Step ``bits`` once per block of uniforms in ``steps``, checking the carried counts; return the last state."""
+        counts = net.neighbor_counts(bits)
+        for uniforms in steps:
+            new = _step_block(bits, uniforms, net, self.PARAMS, counts)
+            net.update_counts(counts, bits, new)
+            assert counts.dtype == np.int32
+            assert counts.shape == bits.shape
+            assert np.atleast_2d(counts).tolist() == [python_neighbor_counts(net, row) for row in np.atleast_2d(new)]
+            bits = new
+        return bits
 
     @pytest.mark.parametrize("size, edges, dense", NEIGHBOR_COUNT_CASES.values(), ids=list(NEIGHBOR_COUNT_CASES))
     def test_cases_match_the_python_count(self, size, edges, dense):
         net = make_network([0.5] * size, edges)
+        assert net.dense_products is dense
         rng = np.random.default_rng(size)
         bits = (rng.random((4, size)) < 0.5).astype(np.int8)
-        # every cell turns on, then off (a hub of degree 200 or 299 flips both ways), then a random step
-        for uniforms in (np.zeros((4, size)), np.ones((4, size)), rng.random((4, size))):
-            bits = self._step(net, bits, uniforms)
-        self._step(net, bits[2].copy(), rng.random(size))  # B = 1, a 1-D state
-        self._step(net, bits.T.copy().T, rng.random((4, size)))  # a strided block
+        # every cell turns on, then off (a hub of degree 200 or 299 flips both ways), then random steps
+        bits = self._carry(net, bits, [np.zeros((4, size)), np.ones((4, size)), *rng.random((3, 4, size))])
+        self._carry(net, bits[2].copy(), rng.random((3, size)))  # B = 1, a 1-D state
+        self._carry(net, bits.T.copy().T, rng.random((3, 4, size)))  # a strided block
         hub_on = np.ones(size)
         hub_on[0] = 0.0
-        self._step(net, np.zeros((1, size), dtype=np.int8), hub_on)  # risk 0 alone turns on
+        self._carry(net, np.zeros((1, size), dtype=np.int8), [hub_on, np.ones(size)])  # risk 0 alone turns on, then off
+        assert ("adjacency_matrix" in net.__dict__) is dense
 
     @settings(deadline=None, max_examples=200)
     @given(small_graphs(), st.data())
@@ -343,8 +350,7 @@ class TestCarriedCounts:
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
         rng = np.random.default_rng(seed)
         bits = (rng.random((rows, size)) < rng.random()).astype(np.int8)
-        for _ in range(3):
-            bits = self._step(net, bits, rng.random((rows, size)))
+        self._carry(net, bits, rng.random((4, rows, size)))
 
 
 class TestEdgeCanonicalization:
