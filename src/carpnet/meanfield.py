@@ -76,16 +76,6 @@ class SteadyState:
         object.__setattr__(self, "p_hat", p)
 
 
-def _p01(p: np.ndarray, likelihoods: np.ndarray, network: RiskNetwork, params: ModelParams) -> np.ndarray:
-    """Mean-field activation probability of every risk, row by row of ``p``.
-
-    ``network.neighbor_sums(p)`` is each risk's expected active-neighbor
-    count, for one row or a (B, R) block.
-    """
-    m = network.neighbor_sums(p)
-    return activation_prob(likelihoods, params.alpha + params.beta * m)
-
-
 def solve_block(
     likelihoods: np.ndarray,
     network: RiskNetwork,
@@ -117,9 +107,10 @@ def solve_block(
     iterations = np.full(out.shape[0], max_iter, dtype=np.int64)
     residuals = np.full(out.shape[0], math.inf)
     live = np.arange(out.shape[0])
-    p, p_rec = out, survival_prob(likelihoods, params.gamma)
+    # activation_prob's log1p, taken once: each sweep only rescales it by its exponent
+    p, p_rec, log_survival = out, survival_prob(likelihoods, params.gamma), np.log1p(-likelihoods)
     for iteration in range(1, max_iter + 1):
-        p01 = _p01(p, likelihoods, network, params)
+        p01 = -np.expm1((params.alpha + params.beta * network.neighbor_sums(p)) * log_survival)
         new = p + damping * (p01 / (p01 + p_rec) - p)
         residual = np.max(np.abs(new - p), axis=1)
         p = new
@@ -129,7 +120,7 @@ def solve_block(
             residuals[live] = residual
             iterations[live[done]] = iteration
             keep = ~done
-            live, p, likelihoods, p_rec = live[keep], p[keep], likelihoods[keep], p_rec[keep]
+            live, p, log_survival, p_rec = live[keep], p[keep], log_survival[keep], p_rec[keep]
             if live.size == 0:
                 break
     return out, iterations, residuals
@@ -180,7 +171,7 @@ def stationarity_residual(p: np.ndarray, network: RiskNetwork, params: ModelPara
         raise ValidationError(f"probability vector must have shape ({network.size},), got {p.shape}")
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValidationError("probabilities must lie in [0, 1]")
-    p01 = _p01(p, network.likelihoods, network, params)
+    p01 = activation_prob(network.likelihoods, params.alpha + params.beta * network.neighbor_sums(p))
     p_con = activation_prob(network.likelihoods, params.gamma)
     return float(np.max(np.abs((1.0 - p) * p01 + p * p_con - p)))
 

@@ -11,9 +11,11 @@ and the parameters. Writing ``y_i = log(1 - L_i)``, the four cases are
 
 so the panel log-likelihood collapses onto sufficient statistics: counts of
 dormant transitions per (risk, k) cell and of active transitions per risk.
-:class:`PanelStats` builds those tables in one pass over the panel; each
-likelihood or gradient evaluation then reduces over the nonzero cells only,
-at a cost independent of the panel length.
+:class:`PanelStats` adds those tables up one block of months at a time, each
+block at most ``_BLOCK_CELLS`` (month, risk) cells, so its working set
+depends on R and not on the panel length; each likelihood or gradient
+evaluation then reduces over the nonzero cells only, at a cost independent
+of the panel length.
 
 Fitting maximizes the log-likelihood over ``(ln alpha, ln beta, ln gamma)``
 by Newton's method on the exact gradient and Hessian, restarted from several
@@ -50,6 +52,7 @@ _GTOL = 1e-8  # largest free gradient component at which a start stops
 _ARMIJO = 1e-4  # sufficient-increase fraction of the line search
 _HALVINGS = 60  # backtracking steps before a line search gives up
 _START_LOW, _START_HIGH = 1e-5, 10.0  # box of the random starts, per parameter
+_BLOCK_CELLS = 2**15  # (month, risk) cells per block of PanelStats: 32 months at R=1000
 
 
 class PanelStats:
@@ -60,8 +63,13 @@ class PanelStats:
     active->dormant transitions per risk. Evaluations read only compact forms
     of them: the dormant-stay weights ``w00 = c00.T @ y`` per count, the
     nonzero ``c01`` cells as flat arrays, the recovery sum ``n10 @ y`` and the
-    risks with ``n11 > 0``, so each costs O(nonzero cells), not O(R K). The
-    counts k of every earlier month come from one :meth:`RiskNetwork.neighbor_counts`.
+    risks with ``n11 > 0``, so each costs O(nonzero cells), not O(R K).
+
+    The counts are added up over blocks of ``_BLOCK_CELLS // R`` consecutive
+    month pairs (at least one), each block's active-neighbor counts k of its
+    earlier months from one :meth:`RiskNetwork.neighbor_counts` call. Every
+    count is an exact integer, so the tables do not depend on the block size,
+    and the temporaries never outgrow one block however long the panel is.
     """
 
     def __init__(self, panel: EventPanel, network: RiskNetwork) -> None:
@@ -71,18 +79,27 @@ class PanelStats:
             )
         if panel.n_steps < 2:
             raise ValidationError("likelihood evaluation needs a panel with at least 2 months")
-        months = np.ascontiguousarray(panel.states.T)  # row t is month t's state
-        old, new = months[:-1], months[1:]
         size = network.size
         width = int(network.degrees.max(initial=0)) + 1
-        # flat (risk, k) index, k = active neighbors at the earlier month, counted exactly as int32
-        cell = network.neighbor_counts(old)
-        cell += np.arange(0, size * width, width, dtype=np.int32)
-        dormant = old == 0
-        self.c01 = np.bincount(cell[dormant & (new == 1)], minlength=size * width).reshape(size, width)
-        self.c00 = np.bincount(cell[dormant & (new == 0)], minlength=size * width).reshape(size, width)
-        self.n11 = ((old == 1) & (new == 1)).sum(axis=0)
-        self.n10 = ((old == 1) & (new == 0)).sum(axis=0)
+        cells = size * width
+        c01, c00 = np.zeros(cells, dtype=np.int64), np.zeros(cells, dtype=np.int64)
+        n1, n11 = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+        offsets = np.arange(0, cells, width, dtype=np.int32)
+        span = max(1, _BLOCK_CELLS // size)  # month pairs per block
+        for start in range(0, panel.n_steps - 1, span):
+            months = np.ascontiguousarray(panel.states[:, start : start + span + 1].T)  # row t is month start + t
+            old, new = months[:-1], months[1:]
+            # flat (risk, k) index, k = active neighbors at the earlier month, counted exactly as int32
+            cell = network.neighbor_counts(old)
+            cell += offsets
+            dormant = old == 0
+            # unbuffered adds cost per transition, not per cell of the table as a bincount would
+            np.add.at(c01, cell[dormant & (new == 1)], 1)
+            np.add.at(c00, cell[dormant & (new == 0)], 1)
+            n1 += old.sum(axis=0)
+            n11 += (old & new).sum(axis=0)
+        self.c01, self.c00 = c01.reshape(size, width), c00.reshape(size, width)
+        self.n11, self.n10 = n11, n1 - n11
         self.k_values = np.arange(width, dtype=np.float64)
         y = np.log1p(-network.likelihoods)  # strictly negative
         self.log_survival = y

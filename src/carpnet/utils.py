@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 from contextlib import contextmanager
@@ -57,6 +56,8 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 
 def sha256_file(path: str | os.PathLike) -> str:
     """Hex sha256 digest of a file, streamed in chunks."""
+    import hashlib  # only here: it loads OpenSSL, which loading inputs never needs
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):

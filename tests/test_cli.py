@@ -950,19 +950,19 @@ class TestImportFootprint:
 
     def test_loading_files_imports_no_analysis_module(self, tmp_path):
         network, panel = _generate(tmp_path)
-        modules = [f"carpnet.{name}" for name in ANALYSIS_MODULES] + ["concurrent.futures"]
+        modules = [f"carpnet.{name}" for name in ANALYSIS_MODULES] + ["concurrent.futures", "hashlib"]
         probe = (
             f"import sys, carpnet\ncarpnet.load_network({str(network)!r})\ncarpnet.load_panel({str(panel)!r})\n"
             f"print(' '.join(m for m in {modules!r} if m in sys.modules))\n"
             "import carpnet.cli\n"
-            f"print(' '.join(m for m in {modules[:-1]!r} if m not in sys.modules))"
+            f"print(' '.join(m for m in {modules[:-2]!r} if m not in sys.modules))"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         loaded, missing = result.stdout.split("\n")[:2]
-        assert loaded == ""  # loading a network and a panel imports no analysis module and no thread pool
+        assert loaded == ""  # loading a network and a panel imports no analysis module, no thread pool and no OpenSSL
         assert missing == ""  # import carpnet.cli imports all six
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)

@@ -1,10 +1,12 @@
 """Panel log-likelihood, analytic gradient and Hessian, and maximum-likelihood fitting."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from carpnet import (
     EventPanel,
@@ -17,6 +19,7 @@ from carpnet import (
     log_likelihood,
     log_likelihood_gradient,
 )
+from carpnet import mle
 from carpnet.dynamics import philox_stream
 from tests.helpers import count_based_log_likelihood, make_network, small_graphs
 
@@ -130,6 +133,23 @@ def log_space_points(bound):
     return st.tuples(*[st.floats(-bound, bound, allow_nan=False)] * 3).map(np.array)
 
 
+def panel_stats_in_blocks(panel, network, months):
+    """``PanelStats`` built with blocks of ``months`` month pairs."""
+    with mock.patch.object(mle, "_BLOCK_CELLS", months * network.size):
+        return PanelStats(panel, network)
+
+
+DENSE_CASE = (  # a complete graph, so dense_products
+    make_network(np.linspace(0.1, 0.9, 7), [(i, j) for i in range(7) for j in range(i + 1, 7)]),
+    EventPanel(np.random.default_rng(3).integers(0, 2, size=(7, 20))),
+)
+SPARSE_CASE = (  # a path of 40 risks, so not dense_products
+    make_network(np.linspace(0.1, 0.9, 40), [(i, i + 1) for i in range(39)]),
+    EventPanel(np.random.default_rng(4).integers(0, 2, size=(40, 15))),
+)
+TWO_MONTH_CASE = (make_network([0.3, 0.5, 0.7], [(0, 1), (1, 2)]), EventPanel(np.array([[0, 1], [1, 1], [0, 0]])))
+
+
 class TestCompactedStatistics:
     @settings(deadline=None)
     @given(random_panels(), log_space_points(700.0))
@@ -188,6 +208,41 @@ class TestCompactedStatistics:
         if not math.isfinite(stats.log_likelihood(ModelParams(*np.exp(theta)))):
             return
         assert_hessian_matches_gradient_differences(stats, theta)
+
+    @settings(deadline=None)
+    @given(random_panels(), log_space_points(5.0))
+    @example(DENSE_CASE, np.array([-3.0, -2.0, 0.5]))
+    @example(SPARSE_CASE, np.array([-2.0, -1.0, 0.0]))
+    @example(TWO_MONTH_CASE, np.array([-1.0, -1.0, 0.0]))
+    def test_block_size_changes_nothing(self, case, theta):
+        network, panel = case
+        pairs = panel.n_steps - 1
+        whole = panel_stats_in_blocks(panel, network, pairs)
+        params = ModelParams(*np.exp(theta))
+        # one month pair per block, then blocks of all but one, which leaves a short last block
+        for months in (1, max(1, pairs - 1)):
+            stats = panel_stats_in_blocks(panel, network, months)
+            for name in ("c01", "c00", "n11", "n10"):
+                assert np.array_equal(getattr(stats, name), getattr(whole, name)), name
+            for method in ("log_likelihood", "gradient", "hessian"):
+                ours, reference = (np.asarray(getattr(s, method)(params)) for s in (stats, whole))
+                assert ours.tobytes() == reference.tobytes(), method
+
+    def test_working_set_does_not_grow_with_the_panel(self):
+        network, panel = generate_synthetic(1000, 5000, (0.5, 0.8), ModelParams(5.3e-3, 3e-3, 2.5), 240, seed=0)
+        PanelStats(panel, network)  # builds the network's cached graph views outside the measurement
+
+        def traced_peak(build):
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        default = traced_peak(lambda: PanelStats(panel, network))
+        whole = traced_peak(lambda: panel_stats_in_blocks(panel, network, panel.n_steps - 1))
+        assert default <= whole / 2
 
     def test_hessian_of_the_zero_activation_panel(self):
         net = make_network([0.4, 0.5], [(0, 1)])
