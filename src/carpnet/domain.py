@@ -41,7 +41,7 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -308,38 +308,50 @@ def _edge_keys(edges: Sequence[Sequence[int]], size: int) -> np.ndarray:
     return keys
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class RiskNetwork:
     """Immutable risk network: risks with dense ids plus an undirected simple graph.
 
-    ``edges`` may be given as any list or tuple of integer id pairs; it is
-    canonicalized to the sorted tuple of (low, high) pairs, and self-loops
-    and duplicates are rejected. The sorted int64 keys ``low * R + high``
-    are kept beside it, and every adjacency view is built from them. Risks
-    must carry ids 0..R-1 (any input order is accepted and sorted).
+    ``edges`` may be given as any list or tuple of integer id pairs, or as an
+    integer array of them; self-loops and duplicates are rejected. The graph
+    is stored once, as the sorted int64 keys ``low * R + high``, and every
+    adjacency view is built from them. The ``edges`` attribute, the sorted
+    tuple of (low, high) pairs, is built from the keys on first read, which
+    only saving and copying a network do. Risks must carry ids 0..R-1 (any
+    input order is accepted and sorted).
     """
 
     risks: tuple[Risk, ...]
-    edges: tuple[tuple[int, int], ...]
-    scheme: NormalizationScheme = NormalizationScheme.IDENTITY
-    epsilon: float = DEFAULT_EPSILON
-    _edge_keys: np.ndarray = field(init=False, repr=False)
+    scheme: NormalizationScheme
+    epsilon: float
+    _edge_keys: np.ndarray
 
-    def __post_init__(self) -> None:
-        risks = tuple(sorted(self.risks, key=attrgetter("id")))
+    def __init__(
+        self,
+        risks: Sequence[Risk],
+        edges: Sequence[Sequence[int]],
+        scheme: NormalizationScheme = NormalizationScheme.IDENTITY,
+        epsilon: float = DEFAULT_EPSILON,
+    ) -> None:
+        risks = tuple(sorted(risks, key=attrgetter("id")))
         if not risks:
             raise ValidationError("a risk network needs at least one risk")
         if [r.id for r in risks] != list(range(len(risks))):
             raise ValidationError("risk ids must be exactly 0..R-1 with no gaps or duplicates")
-        if not isinstance(self.scheme, NormalizationScheme):
-            raise ValidationError(f"scheme must be a NormalizationScheme, got {self.scheme!r}")
-        if not (0.0 < self.epsilon < 0.1):
-            raise ValidationError(f"epsilon must lie in (0, 0.1), got {self.epsilon}")
-        keys = _edge_keys(self.edges, len(risks))
-        low, high = np.divmod(keys, len(risks))
-        object.__setattr__(self, "risks", risks)
-        object.__setattr__(self, "edges", tuple(zip(low.tolist(), high.tolist())))
-        object.__setattr__(self, "_edge_keys", keys)
+        if not isinstance(scheme, NormalizationScheme):
+            raise ValidationError(f"scheme must be a NormalizationScheme, got {scheme!r}")
+        if not (0.0 < epsilon < 0.1):
+            raise ValidationError(f"epsilon must lie in (0, 0.1), got {epsilon}")
+        self.__dict__.update(risks=risks, scheme=scheme, epsilon=epsilon, _edge_keys=_edge_keys(edges, len(risks)))
+
+    def __repr__(self) -> str:
+        return f"RiskNetwork(risks={self.risks!r}, edges={self.edges!r}, scheme={self.scheme!r}, epsilon={self.epsilon!r})"
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The sorted (low, high) id pairs as Python ints, decoded from the edge keys."""
+        low, high = np.divmod(self._edge_keys, self.size)
+        return tuple(zip(low.tolist(), high.tolist()))
 
     @property
     def size(self) -> int:
@@ -347,7 +359,7 @@ class RiskNetwork:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self._edge_keys.size
 
     @cached_property
     def likelihoods(self) -> np.ndarray:
@@ -585,6 +597,7 @@ def load_network(path: str | Path, fmt: str = "json") -> RiskNetwork:
         raise ValidationError(f"{path}: JSON nested too deeply to read: {exc}") from exc
     except ValueError as exc:  # an integer literal beyond Python's digit limit
         raise ValidationError(f"{path}: JSON number too long to read: {exc}") from exc
+    del text  # the parsed document holds all the network needs
     return RiskNetwork.from_dict(data)
 
 

@@ -17,8 +17,9 @@ network's graph, so each sweep of the mean-field map is one
 and no network is rebuilt. Every row stops at its own convergence sweep, just
 as a one-row :func:`carpnet.meanfield.fixed_point` solve would. Rows are cut
 into blocks of at most ``BLOCK_CELLS`` cells, a bound on the working set
-that depends on R alone; blocks are the unit ``--threads`` spreads over, so
-the matrix is bit-identical for any thread count.
+that depends on R alone, and each block writes its rows straight into the
+one R × R result; blocks are the unit ``--threads`` spreads over, so the
+matrix is bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -113,9 +114,11 @@ def influence_matrix(
     base_ext = transition_fractions(baseline, network, params).a_ext
     size = network.size
     rows_per_block = max(1, BLOCK_CELLS // size)
+    values = np.empty((size, size))
 
-    def knocked_block(start: int) -> np.ndarray:
-        ids = np.arange(start, min(start + rows_per_block, size))
+    def knocked_block(start: int) -> None:
+        stop = min(start + rows_per_block, size)
+        ids = np.arange(start, stop)
         likelihoods = np.tile(network.likelihoods, (ids.size, 1))
         likelihoods[np.arange(ids.size), ids] = KNOCKOUT_FLOOR
         p, _, residuals = solve_block(likelihoods, network, params, likelihoods, tol, max_iter)
@@ -123,10 +126,9 @@ def influence_matrix(
         if failed.size:
             raise ConvergenceError(f"steady state with risk {failed[0]} disabled did not converge")
         _, raw_ext, _, total = transition_rates(p, network.neighbor_sums(p), likelihoods, params)
-        return base_ext - raw_ext / total
+        np.subtract(base_ext, raw_ext / total, out=values[start:stop])
 
-    blocks = ordered_map(knocked_block, range(0, size, rows_per_block), threads=threads)
-    values = np.concatenate(blocks)
+    ordered_map(knocked_block, range(0, size, rows_per_block), threads=threads)
     np.fill_diagonal(values, 0.0)
     return InfluenceMatrix(values=values, tol=tol)
 

@@ -213,9 +213,14 @@ class TemporalInfluence:
 
 
 def _distance_layers(network: RiskNetwork, source: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    one = network.adjacency[source]
-    two = {n for j in one for n in network.adjacency[j]}.difference(one, (source,))
-    return one, tuple(sorted(two))
+    """The source's neighbors, sorted, and the risks exactly two hops from it, sorted."""
+    indptr, indices = network.neighbor_arrays
+    one = indices[indptr[source] : indptr[source + 1]]
+    two = np.zeros(network.size, dtype=bool)
+    for j in one.tolist():
+        two[indices[indptr[j] : indptr[j + 1]]] = True
+    two[one] = two[source] = False
+    return tuple(one.tolist()), tuple(np.flatnonzero(two).tolist())
 
 
 def temporal_influence(

@@ -1,8 +1,10 @@
 """Data model: normalization, network validation, file round trips, panels."""
 
+import gc
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +19,7 @@ from carpnet import (
     Risk,
     RiskNetwork,
     ValidationError,
+    generate_synthetic,
     load_network,
     load_panel,
     normalize_likelihoods,
@@ -168,11 +171,12 @@ class TestRiskNetwork:
         assert list(net.likelihoods) == [0.3, 0.4]
 
     def test_with_normalized_likelihood_replaces_single_value(self):
-        net = make_network([0.3, 0.4, 0.5], [(0, 1)])
+        net = make_network([0.3, 0.4, 0.5], [(2, 1), (1, 0)])
         swapped = net.with_normalized_likelihood(1, 0.9)
         assert swapped.risks[1].normalized_likelihood == 0.9
         assert swapped.risks[0].normalized_likelihood == 0.3
-        assert swapped.edges == net.edges
+        assert swapped.edges == net.edges == ((0, 1), (1, 2))
+        assert swapped.neighbor_arrays[1].tolist() == net.neighbor_arrays[1].tolist()
         assert net.risks[1].normalized_likelihood == 0.4
 
     def test_risk_rejects_out_of_range_normalized_likelihood(self):
@@ -361,16 +365,22 @@ class TestEdgeCanonicalization:
     def test_matches_the_per_edge_oracle(self, case):
         size, edges = case
         risks = make_network([0.5] * size).risks
+        inputs = (edges, tuple(edges), np.array(edges, dtype=np.int64).reshape(-1, 2))
         try:
             expected = canonical_edges(edges, size)
         except ValidationError as exc:
-            with pytest.raises(ValidationError) as raised:
-                RiskNetwork(risks, edges)
-            assert str(raised.value) == str(exc)
+            for given_edges in inputs:
+                with pytest.raises(ValidationError) as raised:
+                    RiskNetwork(risks, given_edges)
+                assert str(raised.value) == str(exc)
             return
-        net = RiskNetwork(risks, edges)
-        assert net.edges == expected
-        assert {type(v) for pair in net.edges for v in pair} <= {int}
+        for given_edges in inputs:
+            net = RiskNetwork(risks, given_edges)
+            assert net.edges == expected
+            assert {type(v) for pair in net.edges for v in pair} <= {int}
+            assert repr(net) == (
+                f"RiskNetwork(risks={net.risks!r}, edges={expected!r}, scheme={net.scheme!r}, epsilon={net.epsilon!r})"
+            )
         neighbors = [[] for _ in range(size)]
         for i, j in expected:
             neighbors[i].append(j)
@@ -431,8 +441,28 @@ class TestNetworkFiles:
         reloaded = load_network(first)
         save_network(reloaded, second)
         assert first.read_bytes() == second.read_bytes()
-        assert reloaded.edges == net.edges
+        assert reloaded.edges == net.edges == ((0, 1), (1, 2))
+        assert {type(v) for pair in reloaded.edges for v in pair} == {int}
         assert list(reloaded.likelihoods) == list(net.likelihoods)
+
+    def test_a_loaded_network_keeps_no_edge_tuple(self, tmp_path):
+        path = tmp_path / "net.json"
+        network, _ = generate_synthetic(1000, 5000, (0.5, 0.8), ModelParams(5.3e-3, 3e-3, 2.5), 1, seed=0)
+        save_network(network, path)
+        del network
+        load_network(path)  # any first-load caches stay outside the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_network(path)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert "edges" not in loaded.__dict__  # built on first read only
+        assert loaded.edge_count == 5000
+        assert retained < 0.6 * 2**20  # 0.40 MiB: risks, keys and likelihoods; the tuple of pairs held 0.53 MiB more
 
     def test_file_without_normalization_block_is_identity(self, tmp_path):
         path = tmp_path / "net.json"
