@@ -34,13 +34,12 @@ from .errors import CarpError, ConvergenceError, ValidationError
 # a process that only loads files imports numpy and the data model alone.
 # ``import carpnet.cli`` still loads every module.
 _LAZY = {
-    "dynamics": ("NetworkState", "PoissonProbs", "activation_prob", "philox_stream", "poisson_probs",
-                 "prob_activate", "step", "survival_prob"),
+    "dynamics": ("NetworkState", "activation_prob", "philox_stream", "step", "survival_prob"),
     "influence": ("KNOCKOUT_FLOOR", "CategoryInfluence", "InfluenceMatrix", "category_influence",
                   "influence_matrix", "knockout"),
     "meanfield": ("InitMode", "SteadyState", "TransitionFractions", "ext_int_ratio", "ext_int_ratios",
                   "fixed_point", "stationarity_residual", "transition_fractions"),
-    "mle": ("FitConfig", "FitResult", "PanelStats", "fit", "log_likelihood", "log_likelihood_gradient"),
+    "mle": ("FitConfig", "FitResult", "PanelStats", "fit", "log_likelihood"),
     "montecarlo": ("FrequencyTrajectory", "SimulationConfig", "TemporalInfluence", "simulate", "temporal_influence"),
     "synth": ("generate_synthetic",),
 }
@@ -78,7 +77,6 @@ __all__ = [
     "NetworkState",
     "NormalizationScheme",
     "PanelStats",
-    "PoissonProbs",
     "Risk",
     "RiskNetwork",
     "SimulationConfig",
@@ -98,11 +96,8 @@ __all__ = [
     "load_network",
     "load_panel",
     "log_likelihood",
-    "log_likelihood_gradient",
     "normalize_likelihoods",
     "philox_stream",
-    "poisson_probs",
-    "prob_activate",
     "save_network",
     "save_panel",
     "simulate",

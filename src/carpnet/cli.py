@@ -277,13 +277,8 @@ def _transitions(args: argparse.Namespace, network, params: ModelParams):
 
 
 def _simulate(args: argparse.Namespace, network, params: ModelParams):
-    config = SimulationConfig(
-        runs=args.runs,
-        horizon=args.horizon,
-        seed=args.seed,
-        initial_state=args.initial_state,
-        threads=_resolve_threads(args.threads),
-    )
+    _resolve_threads(args.threads)  # validated like every --threads; the runs step as one block
+    config = SimulationConfig(runs=args.runs, horizon=args.horizon, seed=args.seed, initial_state=args.initial_state)
     steady = fixed_point(network, params)
     counts = simulate(network, params, config).counts
     if not steady.converged:
@@ -301,12 +296,8 @@ def _simulate(args: argparse.Namespace, network, params: ModelParams):
 
 
 def _temporal_influence(args: argparse.Namespace, network, params: ModelParams):
-    config = SimulationConfig(
-        runs=args.runs,
-        horizon=args.horizon,
-        seed=args.seed,
-        threads=_resolve_threads(args.threads),
-    )
+    _resolve_threads(args.threads)  # validated like every --threads; the runs step as one block
+    config = SimulationConfig(runs=args.runs, horizon=args.horizon, seed=args.seed)
     result = temporal_influence(network, params, args.source, config, baseline=args.baseline)
     curves = (result.one_hop, result.two_hop)
     rows = [[t, *(None if c is None else float(c[t]) for c in curves)] for t in range(config.horizon)]

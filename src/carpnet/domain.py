@@ -61,6 +61,8 @@ DENSE_PAIRS = 20
 # neighbor_sums of a block of two or more rows takes it once 2E * DENSE_BLOCK_PAIRS >= R**2
 DENSE_BLOCK_PAIRS = 80
 
+# cached RiskNetwork views that depend on the graph alone, which a likelihood copy shares
+_GRAPH_VIEWS = frozenset(("edges", "neighbor_arrays", "degrees", "_neighbor_entries", "adjacency_matrix", "adjacency"))
 _MONTH_LABEL = re.compile(r"\d{4}-(0[1-9]|1[0-2])")
 _BITS = frozenset(("0", "1"))  # the only panel cells
 _PLAIN_HEADER = re.compile(rb"[ !#-~]+")  # printable ASCII but the quote
@@ -317,7 +319,7 @@ class RiskNetwork:
     is stored once, as the sorted int64 keys ``low * R + high``, and every
     adjacency view is built from them. The ``edges`` attribute, the sorted
     tuple of (low, high) pairs, is built from the keys on first read, which
-    only saving and copying a network do. Risks must carry ids 0..R-1 (any
+    only saving and printing a network do. Risks must carry ids 0..R-1 (any
     input order is accepted and sorted).
     """
 
@@ -391,17 +393,6 @@ class RiskNetwork:
         out = np.diff(self.neighbor_arrays[0]).astype(np.int64)
         out.setflags(write=False)
         return out
-
-    @property
-    def average_degree(self) -> float:
-        return 2.0 * self.edge_count / self.size
-
-    @property
-    def edge_probability(self) -> float:
-        """Fraction of possible pairs that are connected; 0 for a single risk."""
-        if self.size < 2:
-            return 0.0
-        return 2.0 * self.edge_count / (self.size * (self.size - 1))
 
     @cached_property
     def _neighbor_entries(self) -> tuple[np.ndarray, np.ndarray]:
@@ -512,12 +503,22 @@ class RiskNetwork:
         return self.adjacency[risk_id]
 
     def with_normalized_likelihood(self, risk_id: int, value: float) -> "RiskNetwork":
-        """Copy of the network with one risk's normalized likelihood replaced."""
+        """Copy of the network with one risk's normalized likelihood replaced.
+
+        The copy shares the read-only edge keys and every graph view
+        (``_GRAPH_VIEWS``) this network has built, so its edges are not
+        checked again; ``Risk`` checks the new value.
+        """
         if not (0 <= risk_id < self.size):
             raise ValidationError(f"risk id {risk_id} outside 0..{self.size - 1}")
         risks = list(self.risks)
         risks[risk_id] = replace(risks[risk_id], normalized_likelihood=float(value))
-        return RiskNetwork(tuple(risks), self.edges, self.scheme, self.epsilon)
+        copy = object.__new__(RiskNetwork)
+        copy.__dict__.update(
+            {name: view for name, view in self.__dict__.items() if name in _GRAPH_VIEWS},
+            risks=tuple(risks), scheme=self.scheme, epsilon=self.epsilon, _edge_keys=self._edge_keys,
+        )
+        return copy
 
     def to_dict(self) -> dict:
         return {
@@ -576,15 +577,13 @@ class RiskNetwork:
         return RiskNetwork(tuple(risks), edges, scheme, epsilon)
 
 
-def load_network(path: str | Path, fmt: str = "json") -> RiskNetwork:
-    """Load a risk network from disk.
+def load_network(path: str | Path) -> RiskNetwork:
+    """Load a risk network from a JSON file.
 
     A file without a ``normalization`` block is treated as pre-normalized
     (IDENTITY scheme), so out-of-range likelihoods in such a file are load
     errors.
     """
-    if fmt != "json":
-        raise ValidationError(f"unsupported network format {fmt!r}, only 'json' is implemented")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -60,33 +60,6 @@ def activation_prob(likelihood, exponent):
     return -np.expm1(exponent * np.log1p(-likelihood))
 
 
-@dataclass(frozen=True)
-class PoissonProbs:
-    """The four per-month transition probabilities of a single risk."""
-
-    p_int: float
-    p_ext: float
-    p_con: float
-    p_rec: float
-
-
-def poisson_probs(likelihood: float, params: ModelParams) -> PoissonProbs:
-    """Transition probabilities for one risk with normalized likelihood L.
-
-    ``p_rec`` is computed as ``1 - p_con``, so the pair sums to 1 exactly.
-    """
-    likelihood = float(likelihood)
-    if not (0.0 < likelihood < 1.0):
-        raise ValidationError(f"likelihood must lie strictly inside (0, 1), got {likelihood}")
-    p_con = float(activation_prob(likelihood, params.gamma))
-    return PoissonProbs(
-        p_int=float(activation_prob(likelihood, params.alpha)),
-        p_ext=float(activation_prob(likelihood, params.beta)),
-        p_con=p_con,
-        p_rec=1.0 - p_con,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkState:
     """Activity bits of every risk at one time step."""
@@ -119,29 +92,6 @@ class NetworkState:
         return int(self.bits.sum())
 
 
-def _check_state(state: NetworkState, network: RiskNetwork) -> None:
-    if state.bits.shape[0] != network.size:
-        raise ValidationError(
-            f"state has {state.bits.shape[0]} risks but the network has {network.size}"
-        )
-
-
-def prob_activate(risk_id: int, state: NetworkState, network: RiskNetwork, params: ModelParams) -> float:
-    """Activation probability of dormant risk ``risk_id`` given the current state.
-
-    Counts the risk's currently active neighbors (its own bit is ignored) and
-    returns ``1 - (1 - L)**(alpha + k * beta)``. With no active neighbors this
-    equals ``p_int`` exactly.
-    """
-    if not (0 <= risk_id < network.size):
-        raise ValidationError(f"risk id {risk_id} outside 0..{network.size - 1}")
-    _check_state(state, network)
-    indptr, indices = network.neighbor_arrays
-    k = int(state.bits[indices[indptr[risk_id]:indptr[risk_id + 1]]].sum())
-    likelihood = network.risks[risk_id].normalized_likelihood
-    return float(activation_prob(likelihood, params.alpha + k * params.beta))
-
-
 def _step_block(
     bits: np.ndarray,
     uniforms: np.ndarray,
@@ -166,12 +116,14 @@ def _step_block(
 def step(state: NetworkState, network: RiskNetwork, params: ModelParams, rng: np.random.Generator) -> NetworkState:
     """One synchronous update of the whole network.
 
-    Every transition is sampled against the old state: dormant risk i
-    activates with ``prob_activate(i, state, ...)`` and active risk i stays
-    active with ``p_con``. Consumes exactly ``network.size`` uniforms from
-    ``rng``, one per risk in id order, regardless of the state.
+    Every transition is sampled against the old state: dormant risk i with k
+    active neighbors activates with ``1 - (1 - L_i)**(alpha + k beta)`` and
+    active risk i stays active with ``p_con``. Consumes exactly
+    ``network.size`` uniforms from ``rng``, one per risk in id order,
+    regardless of the state.
     """
-    _check_state(state, network)
+    if state.bits.shape[0] != network.size:
+        raise ValidationError(f"state has {state.bits.shape[0]} risks but the network has {network.size}")
     bits = _step_block(state.bits, rng.random(network.size), network, params, network.neighbor_counts(state.bits))
     return NetworkState(bits, state.time + 1)
 

@@ -195,13 +195,6 @@ def log_likelihood(panel: EventPanel, network: RiskNetwork, params: ModelParams)
     return value
 
 
-def log_likelihood_gradient(
-    panel: EventPanel, network: RiskNetwork, params: ModelParams
-) -> np.ndarray:
-    """Gradient of :func:`log_likelihood` with respect to (ln a, ln b, ln g)."""
-    return PanelStats(panel, network).gradient(params)
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for the multi-start Newton fit."""

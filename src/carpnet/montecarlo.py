@@ -33,17 +33,16 @@ from .dynamics import NetworkState, _step_block, philox_stream
 from .errors import ValidationError
 from .meanfield import fixed_point
 
-DEFAULT_MAX_CELLS = 2**31
+MAX_CELLS = 2**31  # cells one call may hold in count tables and recorded panels
 BLOCK_CELLS = 2**17  # uniforms held at once: 1 MiB of float64
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Ensemble size, horizon, seeding, and resource limits for a simulation.
+    """Ensemble size, horizon and seeding for a simulation.
 
     ``initial_state`` is ``"dormant"``, ``"active"``, or an explicit 0/1
-    vector. ``max_cells`` caps ``runs * horizon * n_risks`` so a typo cannot
-    exhaust memory. ``record_panels`` keeps every run's full trajectory.
+    vector. ``record_panels`` keeps every run's full trajectory.
     ``threads`` is validated but never changes an output byte: the runs
     step as one batched block.
     """
@@ -53,7 +52,6 @@ class SimulationConfig:
     seed: int = 0
     initial_state: str | Sequence[int] = "dormant"
     record_panels: bool = False
-    max_cells: int = DEFAULT_MAX_CELLS
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -61,8 +59,6 @@ class SimulationConfig:
             raise ValidationError(f"runs must be at least 1, got {self.runs}")
         if self.horizon < 1:
             raise ValidationError(f"horizon must be at least 1, got {self.horizon}")
-        if self.max_cells < 1:
-            raise ValidationError(f"max_cells must be positive, got {self.max_cells}")
         if self.threads < 1:
             raise ValidationError(f"threads must be at least 1, got {self.threads}")
 
@@ -121,12 +117,15 @@ class FrequencyTrajectory:
         return self.counts / float(self.runs)
 
 
-def _check_cells(network: RiskNetwork, config: SimulationConfig) -> None:
-    cells = config.runs * config.horizon * network.size
-    if cells > config.max_cells:
-        raise ValidationError(
-            f"requested {cells} state cells, above the configured cap {config.max_cells}"
-        )
+def _check_cells(network: RiskNetwork, horizon: int, tables: int) -> None:
+    """Refuse a call that would hold more than ``MAX_CELLS`` cells in ``tables`` R × horizon arrays.
+
+    The arrays are the count tables and any recorded panels; the kernel's
+    uniforms are bounded by ``BLOCK_CELLS`` whatever the run count.
+    """
+    cells = tables * network.size * horizon
+    if cells > MAX_CELLS:
+        raise ValidationError(f"requested {cells} state cells, above the cap {MAX_CELLS}")
 
 
 def _ensemble(network: RiskNetwork, params: ModelParams, config: SimulationConfig, start):
@@ -174,7 +173,7 @@ def simulate(network: RiskNetwork, params: ModelParams, config: SimulationConfig
     initial condition), so a horizon of H covers H - 1 steps. Identical
     inputs give bit-identical outputs for any thread count.
     """
-    _check_cells(network, config)
+    _check_cells(network, config.horizon, 1 + (config.runs if config.record_panels else 0))
     init_bits = _initial_bits(config.initial_state, network)
 
     def start(rngs):
@@ -244,7 +243,7 @@ def temporal_influence(
         raise ValidationError(f"risk id {source} outside 0..{network.size - 1}")
     if baseline not in ("dormant", "steady"):
         raise ValidationError(f"baseline must be 'dormant' or 'steady', got {baseline!r}")
-    _check_cells(network, config)
+    _check_cells(network, config.horizon, 2)
     p_steady = None
     if baseline == "steady":
         solution = fixed_point(network, params)

@@ -1,6 +1,10 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import csv
+import dataclasses
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import re
@@ -8,7 +12,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from carpnet import (
     save_network,
     simulate,
 )
+import carpnet
 from carpnet import cli
 from carpnet.cli import run
 from carpnet.utils import atomic_open
@@ -989,6 +994,58 @@ class TestImportFootprint:
         )
         assert result.returncode == 0, result.stderr
         assert load_network(network).dense_products is dense  # 2E * 20 >= R**2 with 20 edges
+
+
+PERFBENCH = SRC.parent / "perfbench"
+# public names deleted because no package code, acceptance test or benchmark read them
+DELETED_NAMES = ("PoissonProbs", "poisson_probs", "prob_activate", "log_likelihood_gradient")
+
+
+def _benchmark_tracer(monkeypatch):
+    """``perfbench/tracer.py`` as a module, loaded without writing a bytecode cache beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPublicSurface:
+    def test_every_public_name_resolves(self):
+        for name in carpnet.__all__:
+            getattr(carpnet, name)  # raises AttributeError on a stale name
+
+    def test_public_names_are_the_eager_and_lazy_exports(self):
+        eager = {
+            name for name, value in vars(carpnet).items() if not name.startswith("_") and not isinstance(value, ModuleType)
+        }
+        assert len(set(carpnet.__all__)) == len(carpnet.__all__) == 46
+        assert set(carpnet.__all__) == eager | set(carpnet._MODULE_OF)
+
+    def test_deleted_names_are_absent(self):
+        from carpnet import dynamics, mle
+
+        for name in DELETED_NAMES:
+            assert name not in dir(carpnet)
+            assert not any(hasattr(module, name) for module in (carpnet, dynamics, mle))
+        assert not hasattr(RiskNetwork, "average_degree") and not hasattr(RiskNetwork, "edge_probability")
+        assert list(inspect.signature(load_network).parameters) == ["path"]
+        assert "max_cells" not in {field.name for field in dataclasses.fields(SimulationConfig)}
+
+    def test_every_name_the_benchmark_looks_up_resolves(self, monkeypatch):
+        tracer = _benchmark_tracer(monkeypatch)
+        for _, module, attr, _ in tracer.FUNCTIONS:
+            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+        for _, module, cls, attr in tracer.METHODS:
+            assert attr in vars(getattr(importlib.import_module(module), cls)), (module, cls, attr)
+        sources = "".join(path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py")))
+        for names in re.findall(r"from carpnet import ([\w, ]+)", sources):
+            for name in names.split(","):
+                getattr(carpnet, name.strip())
+        assert carpnet.utils.ordered_map(abs, [-1, 2], threads=2) == [1, 2]
+        assert SimulationConfig(threads=2).threads == 2
+        assert carpnet.NetworkState.dormant(3).n_active == 0
+        assert callable(carpnet.knockout)
 
 
 class TestDenseMatrixCache:

@@ -123,8 +123,6 @@ class TestRiskNetwork:
         assert net.size == 4
         assert net.edge_count == 4
         assert list(net.degrees) == [2, 2, 3, 1]
-        assert net.average_degree == pytest.approx(2.0)
-        assert net.edge_probability == pytest.approx(4 / 6)
         assert net.neighbors(2) == (0, 1, 3)
 
     def test_adjacency_matrix_is_symmetric_with_zero_diagonal(self):
@@ -178,6 +176,8 @@ class TestRiskNetwork:
         assert swapped.edges == net.edges == ((0, 1), (1, 2))
         assert swapped.neighbor_arrays[1].tolist() == net.neighbor_arrays[1].tolist()
         assert net.risks[1].normalized_likelihood == 0.4
+        with pytest.raises(ValidationError, match="risk 1 normalized likelihood"):
+            net.with_normalized_likelihood(1, 1.0)
 
     def test_risk_rejects_out_of_range_normalized_likelihood(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
@@ -566,10 +566,6 @@ class TestNetworkFiles:
         )
         with pytest.raises(ValidationError):
             load_network(path)
-
-    def test_unsupported_format_is_an_error(self, tmp_path):
-        with pytest.raises(ValidationError):
-            load_network(tmp_path / "net.xml", fmt="xml")
 
 
 class TestEventPanel:

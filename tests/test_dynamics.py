@@ -1,4 +1,4 @@
-"""Transition kernel: Poisson probabilities, activation, stepping, streams."""
+"""Transition kernel: activation probabilities, stepping, streams."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,10 @@ from carpnet import (
     NetworkState,
     PanelStats,
     ValidationError,
+    activation_prob,
     philox_stream,
-    poisson_probs,
-    prob_activate,
     step,
+    survival_prob,
 )
 from tests.helpers import PARAMS_SLOW, make_network, python_neighbor_counts, small_graphs
 
@@ -21,37 +21,27 @@ likelihood_values = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 exponent_values = st.floats(min_value=1e-4, max_value=50.0)
 
 
-class TestPoissonProbs:
+class TestActivationProb:
     def test_matches_hand_computed_internal_probability(self):
         # 1 - (1 - 0.5)**3.04e-3, evaluated independently at high precision
-        probs = poisson_probs(0.5, PARAMS_SLOW)
-        assert probs.p_int == pytest.approx(0.0021049489101525921, rel=1e-14)
+        assert activation_prob(0.5, PARAMS_SLOW.alpha) == pytest.approx(0.0021049489101525921, rel=1e-14)
 
-    def test_recovery_complements_continuation_exactly(self):
-        probs = poisson_probs(0.73, ModelParams(0.01, 0.005, 2.8))
-        assert probs.p_rec + probs.p_con == 1.0
-
-    def test_gamma_one_gives_exact_likelihood_continuation(self):
-        probs = poisson_probs(0.37, ModelParams(0.1, 0.1, 1.0))
-        assert probs.p_con == 0.37
-        assert probs.p_rec == 1.0 - 0.37
+    def test_hand_computed_value_with_two_active_neighbors(self):
+        # alpha, beta chosen so p_int = 0.1 and p_ext = 0.2 at L = 0.5:
+        # activation = 1 - 0.9 * 0.8**2 = 0.424
+        alpha, beta = 0.15200309344504998, 0.32192809488736235
+        assert activation_prob(0.5, alpha + 2 * beta) == pytest.approx(0.424, rel=1e-12)
 
     def test_exponent_one_reduces_to_likelihood(self):
-        probs = poisson_probs(0.42, ModelParams(1.0, 1.0, 2.0))
-        assert probs.p_int == 0.42
-        assert probs.p_ext == 0.42
+        assert activation_prob(0.42, 1.0) == 0.42
 
-    def test_rejects_likelihood_endpoints(self):
-        for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValidationError):
-                poisson_probs(bad, PARAMS_SLOW)
+    def test_exponent_one_survival_is_the_exact_complement(self):
+        assert survival_prob(0.37, 1.0) == 1.0 - 0.37
 
-    @given(likelihood=likelihood_values, gamma=exponent_values)
-    def test_probabilities_stay_inside_unit_interval(self, likelihood, gamma):
-        probs = poisson_probs(likelihood, ModelParams(0.003, 0.001, gamma))
-        for value in (probs.p_int, probs.p_ext, probs.p_con, probs.p_rec):
+    @given(likelihood=likelihood_values, exponent=exponent_values)
+    def test_probabilities_stay_inside_unit_interval(self, likelihood, exponent):
+        for value in (activation_prob(likelihood, exponent), survival_prob(likelihood, exponent)):
             assert 0.0 <= value <= 1.0
-        assert probs.p_rec + probs.p_con == 1.0
 
     @given(
         low=likelihood_values,
@@ -61,55 +51,13 @@ class TestPoissonProbs:
     def test_internal_probability_monotone_in_likelihood(self, low, high, alpha):
         if low > high:
             low, high = high, low
-        params = ModelParams(alpha, 0.001, 1.0)
-        assert poisson_probs(low, params).p_int <= poisson_probs(high, params).p_int
+        assert activation_prob(low, alpha) <= activation_prob(high, alpha)
 
     def test_tiny_exponent_keeps_relative_accuracy(self):
         # 1 - (1-L)**e ~ -e*log1p(-L) for tiny e; a naive power would round to 0
-        probs = poisson_probs(0.5, ModelParams(1e-12, 1e-12, 1.0))
-        assert probs.p_int == pytest.approx(1e-12 * np.log(2.0), rel=1e-9)
-        assert probs.p_int > 0.0
-
-
-class TestProbActivate:
-    def _net(self):
-        return make_network([0.5, 0.5, 0.5], [(0, 1), (0, 2)])
-
-    def test_hand_computed_value_with_two_active_neighbors(self):
-        # alpha, beta chosen so p_int = 0.1 and p_ext = 0.2 at L = 0.5:
-        # activation = 1 - 0.9 * 0.8**2 = 0.424
-        params = ModelParams(0.15200309344504998, 0.32192809488736235, 1.0)
-        state = NetworkState(np.array([0, 1, 1]))
-        assert prob_activate(0, state, self._net(), params) == pytest.approx(0.424, rel=1e-12)
-
-    def test_no_active_neighbors_equals_internal_probability(self):
-        params = ModelParams(0.007, 0.004, 2.0)
-        state = NetworkState(np.zeros(3, dtype=int))
-        expected = poisson_probs(0.5, params).p_int
-        assert prob_activate(0, state, self._net(), params) == expected
-
-    def test_own_state_is_ignored(self):
-        params = ModelParams(0.007, 0.004, 2.0)
-        dormant_self = NetworkState(np.array([0, 1, 0]))
-        active_self = NetworkState(np.array([1, 1, 0]))
-        net = self._net()
-        assert prob_activate(0, dormant_self, net, params) == prob_activate(0, active_self, net, params)
-
-    def test_monotone_in_active_neighbor_count(self):
-        params = ModelParams(0.007, 0.004, 2.0)
-        net = self._net()
-        values = [
-            prob_activate(0, NetworkState(np.array(bits)), net, params)
-            for bits in ([0, 0, 0], [0, 1, 0], [0, 1, 1])
-        ]
-        assert values[0] < values[1] < values[2]
-
-    def test_rejects_bad_ids_and_mismatched_state(self):
-        params = ModelParams(0.007, 0.004, 2.0)
-        with pytest.raises(ValidationError):
-            prob_activate(3, NetworkState(np.zeros(3, dtype=int)), self._net(), params)
-        with pytest.raises(ValidationError):
-            prob_activate(0, NetworkState(np.zeros(2, dtype=int)), self._net(), params)
+        p_int = activation_prob(0.5, 1e-12)
+        assert p_int == pytest.approx(1e-12 * np.log(2.0), rel=1e-9)
+        assert p_int > 0.0
 
 
 class TestNetworkState:
@@ -155,7 +103,7 @@ class TestStep:
     def test_single_risk_stay_active_frequency_matches_p_con(self):
         net = make_network([0.55])
         params = ModelParams(0.02, 0.01, 1.7)
-        p_con = poisson_probs(0.55, params).p_con
+        p_con = activation_prob(0.55, params.gamma)
         rng = philox_stream(123, 0)
         active_state = NetworkState.active(1)
         stays = sum(int(step(active_state, net, params, rng).bits[0]) for _ in range(20000))
@@ -220,14 +168,6 @@ class TestNeighborCountOracle:
     def _hub_dormant_leaves_active(self, network):
         return np.array([0] + [1] * (network.size - 1))
 
-    def test_prob_activate_counts_every_active_leaf(self):
-        network = hub_star()
-        bits = self._hub_dormant_leaves_active(network)
-        k = python_neighbor_counts(network, bits)[0]
-        expected = 1.0 - (1.0 - 0.5) ** (HUB_PARAMS.alpha + k * HUB_PARAMS.beta)
-        got = prob_activate(0, NetworkState(bits), network, HUB_PARAMS)
-        assert got == pytest.approx(expected, rel=1e-12)
-
     def test_step_matches_a_python_reference_step(self):
         network = hub_star()
         bits = self._hub_dormant_leaves_active(network)
@@ -265,11 +205,7 @@ class TestNeighborCountOracle:
         rng = np.random.default_rng(seed)
         states = (rng.random((network.size, 2)) < density).astype(np.int8)
         bits = states[:, 0]
-        counts = python_neighbor_counts(network, bits)
-        for risk in (0, leaves):
-            expected = 1.0 - 0.5 ** (HUB_PARAMS.alpha + counts[risk] * HUB_PARAMS.beta)
-            got = prob_activate(risk, NetworkState(bits), network, HUB_PARAMS)
-            assert got == pytest.approx(expected, rel=1e-12)
+        assert network.neighbor_counts(bits).tolist() == list(python_neighbor_counts(network, bits))
         uniforms = philox_stream(seed, 0).random(network.size)
         got = step(NetworkState(bits), network, HUB_PARAMS, philox_stream(seed, 0))
         assert got.bits.tolist() == python_step(network, bits, HUB_PARAMS, uniforms)

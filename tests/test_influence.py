@@ -45,6 +45,17 @@ class TestKnockout:
         with pytest.raises(ValidationError):
             knockout(star_network(), 4)
 
+    def test_copy_shares_the_built_graph_views_but_not_the_likelihoods(self):
+        net = star_network()
+        fixed_point(net, STAR_PARAMS)  # builds the likelihoods and this dense star's matrix from neighbor_arrays
+        reduced = knockout(net, 1)
+        assert "edges" not in net.__dict__  # no edge tuple decoded, no edge checked again
+        assert reduced.neighbor_arrays is net.neighbor_arrays
+        assert reduced.adjacency_matrix is net.adjacency_matrix
+        assert reduced.likelihoods.tolist() == [0.6, KNOCKOUT_FLOOR, 0.5, 0.5]
+        assert net.likelihoods.tolist() == [0.6, 0.5, 0.5, 0.5]
+        assert reduced.degrees.tolist() == [3, 1, 1, 1] and "degrees" not in net.__dict__
+
 
 def isolated_network():
     # risks 3 and 4 have no edges

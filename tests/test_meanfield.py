@@ -7,13 +7,14 @@ from carpnet import (
     InitMode,
     ModelParams,
     ValidationError,
+    activation_prob,
     ext_int_ratio,
     ext_int_ratios,
     fixed_point,
     generate_synthetic,
     philox_stream,
-    poisson_probs,
     stationarity_residual,
+    survival_prob,
     transition_fractions,
 )
 from carpnet.meanfield import solve_block
@@ -37,8 +38,8 @@ class TestFixedPoint:
     def test_isolated_risk_has_closed_form_solution(self):
         params = ModelParams(0.02, 0.01, 1.3)
         steady = fixed_point(make_network([0.45]), params, tol=1e-14)
-        probs = poisson_probs(0.45, params)
-        expected = probs.p_int / (probs.p_int + probs.p_rec)
+        p_int, p_rec = activation_prob(0.45, params.alpha), survival_prob(0.45, params.gamma)
+        expected = p_int / (p_int + p_rec)
         assert steady.p_hat[0] == pytest.approx(expected, rel=1e-12)
 
     def test_reports_iterations_and_residual(self):
@@ -127,9 +128,7 @@ class TestStationarityResidual:
     def test_all_dormant_vector_drifts_by_internal_probability(self):
         net = two_node_network()
         drift = stationarity_residual(np.zeros(2), net, TWO_NODE_PARAMS)
-        expected = max(
-            poisson_probs(0.3, TWO_NODE_PARAMS).p_int, poisson_probs(0.6, TWO_NODE_PARAMS).p_int
-        )
+        expected = max(activation_prob(0.3, TWO_NODE_PARAMS.alpha), activation_prob(0.6, TWO_NODE_PARAMS.alpha))
         assert drift == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_bad_vectors(self):

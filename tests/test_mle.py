@@ -17,7 +17,6 @@ from carpnet import (
     fit,
     generate_synthetic,
     log_likelihood,
-    log_likelihood_gradient,
 )
 from carpnet import mle
 from carpnet.dynamics import philox_stream
@@ -88,7 +87,7 @@ class TestLogLikelihood:
 class TestGradient:
     def test_matches_high_precision_hand_computation(self):
         net, panel = hand_case()
-        grad = log_likelihood_gradient(panel, net, HAND_PARAMS)
+        grad = PanelStats(panel, net).gradient(HAND_PARAMS)
         assert grad[0] == pytest.approx(0.631635136002774, rel=1e-10)
         assert grad[1] == pytest.approx(0.315817568001387, rel=1e-10)
         assert grad[2] == pytest.approx(-0.5019598213666208, rel=1e-10)
@@ -97,7 +96,7 @@ class TestGradient:
         params = ModelParams(6e-3, 3e-3, 2.5)
         net, panel = generate_synthetic(12, 30, (0.5, 0.8), params, 160, seed=19, initial_state="active")
         point = ModelParams(4e-3, 2e-3, 2.0)
-        grad = log_likelihood_gradient(panel, net, point)
+        grad = PanelStats(panel, net).gradient(point)
         h = 1e-6
         for axis in range(3):
             theta = np.log(np.array(point.as_tuple()))
@@ -113,7 +112,7 @@ class TestGradient:
     def test_zero_activation_panel_pins_beta_and_gamma_gradients(self):
         net = make_network([0.4, 0.5], [(0, 1)])
         panel = EventPanel(np.zeros((2, 10), dtype=int))
-        grad = log_likelihood_gradient(panel, net, HAND_PARAMS)
+        grad = PanelStats(panel, net).gradient(HAND_PARAMS)
         assert grad[1] == 0.0
         assert grad[2] == 0.0
         assert grad[0] < 0.0

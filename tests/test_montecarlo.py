@@ -12,10 +12,11 @@ from carpnet import (
     SimulationConfig,
     ValidationError,
     fixed_point,
+    activation_prob,
     philox_stream,
-    poisson_probs,
     simulate,
     step,
+    survival_prob,
     temporal_influence,
 )
 from carpnet import montecarlo
@@ -93,17 +94,29 @@ class TestSimulate:
         # stationary probability p_int / (p_int + p_rec)
         net = make_network([0.6])
         params = ModelParams(0.4, 0.1, 0.8)
-        probs = poisson_probs(0.6, params)
-        expected = probs.p_int / (probs.p_int + probs.p_rec)
+        p_int, p_rec = activation_prob(0.6, params.alpha), survival_prob(0.6, params.gamma)
+        expected = p_int / (p_int + p_rec)
         config = SimulationConfig(runs=4000, horizon=60, seed=8)
         freq = simulate(net, params, config).frequencies[0, -1]
         sigma = np.sqrt(expected * (1.0 - expected) / 4000)
         assert abs(freq - expected) < 4 * sigma
 
-    def test_cell_budget_guard(self):
+    def test_cell_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "MAX_CELLS", 100)
+        net = small_network()  # R = 4
+        with pytest.raises(ValidationError, match="requested 400 state cells"):
+            simulate(net, PARAMS_FAST, SimulationConfig(runs=1, horizon=100))
+        with pytest.raises(ValidationError, match="requested 120 state cells"):  # counts and two panels
+            simulate(net, PARAMS_FAST, SimulationConfig(runs=2, horizon=10, record_panels=True))
+        with pytest.raises(ValidationError, match="requested 160 state cells"):  # two count tables
+            temporal_influence(net, PARAMS_FAST, 1, SimulationConfig(runs=1, horizon=20))
+
+    def test_run_count_alone_does_not_hit_the_cell_budget(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "MAX_CELLS", 100)
         net = small_network()
-        with pytest.raises(ValidationError):
-            simulate(net, PARAMS_FAST, SimulationConfig(runs=100, horizon=100, max_cells=100))
+        # 400 runs x 25 steps x 4 risks is 40000 cells stepped, but the count table holds 100
+        trajectory = simulate(net, PARAMS_FAST, SimulationConfig(runs=400, horizon=25, seed=3))
+        assert trajectory.counts.shape == (4, 25)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
