@@ -38,6 +38,10 @@ class TestActivationProb:
     def test_exponent_one_survival_is_the_exact_complement(self):
         assert survival_prob(0.37, 1.0) == 1.0 - 0.37
 
+    def test_recovery_complements_continuation_exactly(self):
+        # mean field takes p_rec from survival_prob, the stepping kernel p_con from activation_prob
+        assert survival_prob(0.73, 2.8) + activation_prob(0.73, 2.8) == 1.0
+
     @given(likelihood=likelihood_values, exponent=exponent_values)
     def test_probabilities_stay_inside_unit_interval(self, likelihood, exponent):
         for value in (activation_prob(likelihood, exponent), survival_prob(likelihood, exponent)):
@@ -167,6 +171,22 @@ class TestNeighborCountOracle:
 
     def _hub_dormant_leaves_active(self, network):
         return np.array([0] + [1] * (network.size - 1))
+
+    def test_neighbor_counts_count_every_active_leaf(self):
+        network = hub_star()
+        bits = self._hub_dormant_leaves_active(network).astype(np.int8)
+        assert network.neighbor_counts(bits).tolist() == [200] + [0] * 200  # past int8's 127
+        counts = network.neighbor_counts(np.zeros_like(bits))
+        network.update_counts(counts, np.zeros_like(bits), bits)
+        assert counts.tolist() == [200] + [0] * 200
+
+    @pytest.mark.parametrize("leaves", [3, 200])  # dense matrix product, sparse scatter
+    def test_own_state_is_ignored(self, leaves):
+        network = hub_star(leaves)
+        dormant_hub = self._hub_dormant_leaves_active(network).astype(np.int8)
+        active_hub = np.ones_like(dormant_hub)
+        assert network.dense_products == (leaves == 3)
+        assert network.neighbor_counts(active_hub)[0] == network.neighbor_counts(dormant_hub)[0] == leaves
 
     def test_step_matches_a_python_reference_step(self):
         network = hub_star()
