@@ -12,8 +12,8 @@ writes a single JSON document with the metadata embedded.
 A sidecar's ``options`` are every parsed argument except files, the table
 format and the thread count (``fit`` nests its starting point under
 ``init``), so any result can be audited and reproduced. All writes are
-atomic: a table is written row by row into a temp file that is renamed onto
-``--output`` only once the last row is in. No output carries a timestamp,
+atomic: a table is written block by block into a temp file that is renamed
+onto ``--output`` only once the last row is in. No output carries a timestamp,
 and rerunning a command with the same inputs produces bit-identical files
 for any ``--threads`` setting.
 
@@ -29,11 +29,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
+import re
 import sys
 import warnings
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -78,65 +79,72 @@ def _resolve_threads(value: int | None) -> int:
     return value
 
 
-class _MatrixRow(NamedTuple):
-    """A labelled float row as the table row ``[label, *values]``, or with ``long`` the rows ``[label, j, values[j]]``.
+class _Coded(NamedTuple):
+    """The cells ``values[codes]``, written as ``texts[codes]``; 2-D ``codes`` are (rows, table columns)."""
 
-    No cell needs CSV quoting, so the CSV text is one join of ``repr`` strings, not the csv module.
-    """
-
-    label: int | str
-    values: np.ndarray
-    long: bool = False
-
-    def rows(self) -> list[list]:
-        cells = self.values.tolist()
-        return [[self.label, j, v] for j, v in enumerate(cells)] if self.long else [[self.label, *cells]]
-
-    def csv(self) -> str:
-        cells = self.values.tolist()
-        if self.long:
-            return "".join(f"{self.label},{j},{v!r}\n" for j, v in enumerate(cells))
-        return f"{self.label}," + ",".join(map(repr, cells)) + "\n"
-
-
-class _CountRow(NamedTuple):
-    """A labelled row of counts out of ``runs`` as the table row ``[label, *(counts / runs)]``.
-
-    Every cell is one of the ``runs + 1`` frequencies ``c / runs``, so it is
-    looked up by its count: the float in ``values``, its ``repr`` in the
-    object array ``texts``.
-    """
-
-    label: int
-    counts: np.ndarray
+    codes: np.ndarray
     values: np.ndarray
     texts: np.ndarray
 
-    def rows(self) -> list[list]:
-        return [[self.label, *self.values[self.counts].tolist()]]
 
-    def csv(self) -> str:
-        return f"{self.label}," + ",".join(self.texts[self.counts].tolist()) + "\n"
+def _coded(values: np.ndarray, codes: np.ndarray) -> _Coded:
+    return _Coded(codes, values, np.array(list(map(_text, values.tolist())), dtype=object))
 
 
-def _write_table(path: str, fmt: str, header: list[str], rows: Iterable[list | _MatrixRow | _CountRow]) -> None:
-    """Write ``rows``, cell lists and ``_MatrixRow`` or ``_CountRow`` items, into the temp file as they come.
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+_BLOCK_CELLS = 1024  # cells formatted at a time, so a block's text stays some tens of kB
 
-    Only JSON holds the whole table.
+
+def _text(cell) -> str:
+    """A cell's CSV text: None empty, a float by repr, other non-text by str, text as is unless csv must quote it."""
+    if isinstance(cell, str):
+        if _NEEDS_QUOTES(cell) is None:
+            return cell
+        quoted = io.StringIO()
+        csv.writer(quoted, lineterminator="\n").writerow([cell])  # the running Python's quoting rules
+        return quoted.getvalue()[:-1]
+    return "" if cell is None else repr(cell) if isinstance(cell, float) else str(cell)
+
+
+def _cells(column, rows: slice, count: int, text: bool) -> list:
+    """One list of ``column``'s cells in ``rows`` per table column; with ``text``, CSV texts, 2-D rows comma-joined."""
+    if isinstance(column, _Coded):
+        cells = (column.texts if text else column.values)[column.codes[rows]].tolist()
+        if column.codes.ndim == 1:
+            return [cells]
+        return [map(",".join, cells)] if text else list(zip(*cells))  # JSON: one column per table column
+    if isinstance(column, np.ndarray):
+        cells = column[rows].tolist()
+        return [map(repr if column.dtype.kind == "f" else str, cells) if text else cells]
+    if isinstance(column, list):
+        return [map(_text, column[rows]) if text else column[rows]]
+    return [[_text(column) if text else column] * count]  # a scalar: the same cell in all ``count`` rows
+
+
+def _write_table(path: str, fmt: str, header: list[str], blocks: Iterable[list]) -> None:
+    """Write the table ``blocks`` into the temp file as they come; only JSON holds the whole table.
+
+    A block is a list of columns over the same rows: scalars (so a plain row is a block), lists of
+    cells, 1-D arrays and ``_Coded``. CSV is written about ``_BLOCK_CELLS`` cells at a time: floats
+    by ``repr``, ints by ``str``, None as an empty field, and text as the running Python's csv module quotes it.
     """
+    text, table = fmt == "csv", []
+    step = max(1, _BLOCK_CELLS // len(header)) if text else sys.maxsize  # JSON holds the whole table anyway
     with atomic_open(path) as handle:
-        if fmt == "json":
-            cells = ([item] if isinstance(item, list) else item.rows() for item in rows)
-            json.dump({"columns": header, "rows": list(chain.from_iterable(cells))}, handle, indent=2)
-            handle.write("\n")
-        else:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for item in rows:  # floats by repr, None as an empty field
-                if isinstance(item, list):
-                    writer.writerow(item)
+        handle.write(",".join(map(_text, header)) + "\n" if text else "")
+        for block in blocks:
+            rows = next((len(getattr(c, "codes", c)) for c in block if isinstance(c, (list, np.ndarray, _Coded))), 1)
+            for start in range(0, rows, step):
+                part = slice(start, start + step), min(step, rows - start), text
+                columns = [cells for column in block for cells in _cells(column, *part)]
+                if text:
+                    lines = map(",".join, zip(*columns))
+                    handle.write("\n".join(lines if len(columns) > 1 else (line or '""' for line in lines)) + "\n")
                 else:
-                    handle.write(item.csv())
+                    table.extend(map(list, zip(*columns)))
+        if not text:
+            json.dump({"columns": header, "rows": table}, handle, indent=2)
+            handle.write("\n")
 
 
 def _write_sidecar(output: str, meta: dict) -> None:
@@ -216,14 +224,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     """Load the network, compute the subcommand's table, write it and its sidecar.
 
-    ``args.compute(args, network, params)`` returns ``(header, rows, result)``
-    after all its numeric work; ``rows`` is any iterable of cell lists and
-    ``_MatrixRow`` or ``_CountRow`` items, consumed once while the table is written. A
-    ``result`` of None leaves the sidecar without one.
+    ``args.compute(args, network, params)`` returns ``(header, blocks, result)``
+    after all its numeric work; ``blocks`` is any iterable of ``_write_table``
+    blocks, consumed once while the table is written. A ``result`` of None
+    leaves the sidecar without one.
     """
     network = load_network(args.network)
-    header, rows, result = args.compute(args, network, _params(args))
-    _write_table(args.output, args.format, header, rows)
+    header, blocks, result = args.compute(args, network, _params(args))
+    _write_table(args.output, args.format, header, blocks)
     extra = {} if result is None else {"result": result}
     _write_sidecar(args.output, _meta(args, {"network": args.network}, **extra))
     return 0
@@ -247,8 +255,8 @@ def _steady(args: argparse.Namespace, network, params: ModelParams):
 
 def _steady_state(args: argparse.Namespace, network, params: ModelParams):
     steady = _steady(args, network, params)
-    rows = [[r.id, r.name, p] for r, p in zip(network.risks, steady.p_hat.tolist())]
-    return ["risk", "name", "p_hat"], rows, {
+    block = [np.arange(network.size), [r.name for r in network.risks], steady.p_hat]
+    return ["risk", "name", "p_hat"], [block], {
         "iterations": steady.iterations,
         "residual": steady.residual,
         "stationarity_residual": stationarity_residual(steady.p_hat, network, params),
@@ -262,17 +270,17 @@ _FRACTIONS = ("a_int", "a_ext", "a_rec", "raw_int", "raw_ext", "raw_rec")
 def _transitions(args: argparse.Namespace, network, params: ModelParams):
     steady = _steady(args, network, params)
     fractions = transition_fractions(steady, network, params)
-    exact, taylor = (ratios.tolist() for ratios in ext_int_ratios(steady, network, params))
-    columns = [getattr(fractions, name).tolist() for name in _FRACTIONS] + [exact, taylor]
-    rows = [[r.id, r.name, r.category.value, *cells] for r, *cells in zip(network.risks, *columns)]
+    ratios = ext_int_ratios(steady, network, params)
+    risks = network.risks
+    columns = [[r.name for r in risks], [r.category.value for r in risks], *(getattr(fractions, n) for n in _FRACTIONS)]
     header = ["risk", "name", "category", *_FRACTIONS, "ratio_exact", "ratio_taylor"]
     share = fractions.a_int / (fractions.a_int + fractions.a_ext)
-    return header, rows, {
+    return header, [[np.arange(len(risks)), *columns, *ratios]], {
         "iterations": steady.iterations,
         "residual": steady.residual,
         "mean_internal_share": float(share.mean()),
-        "mean_ratio_exact": sum(exact) / len(rows),
-        "mean_ratio_taylor": sum(taylor) / len(rows),
+        "mean_ratio_exact": sum(ratios[0].tolist()) / len(risks),
+        "mean_ratio_taylor": sum(ratios[1].tolist()) / len(risks),
     }
 
 
@@ -283,25 +291,22 @@ def _simulate(args: argparse.Namespace, network, params: ModelParams):
     counts = simulate(network, params, config).counts
     if not steady.converged:
         print("mean-field solve did not converge, 'inf' row omitted", file=sys.stderr)
-    tail = [_MatrixRow("inf", steady.p_hat)] if steady.converged else []
-    header = ["t"] + [f"risk_{r.id}" for r in network.risks]
-    if args.runs < counts.size:  # fewer frequencies than cells: format each frequency once
-        values = np.arange(args.runs + 1) / float(args.runs)
-        texts = np.array(list(map(repr, values.tolist())), dtype=object)
-        body = (_CountRow(t, column, values, texts) for t, column in enumerate(counts.T))
+    if args.runs < counts.size:  # fewer frequencies than cells: format each one once, else each count found
+        found, codes = np.arange(args.runs + 1), counts.T
     else:
-        body = (_MatrixRow(t, column / float(args.runs)) for t, column in enumerate(counts.T))
-    rows = chain(body, tail)
-    return header, rows, {"meanfield_row": bool(steady.converged)}
+        found, codes = np.unique(counts.T, return_inverse=True)
+    body = [np.arange(counts.shape[1]), _coded(found / float(args.runs), codes.reshape(counts.T.shape))]
+    tail = [["inf", _coded(steady.p_hat, np.arange(network.size)[None])]] if steady.converged else []
+    header = ["t"] + [f"risk_{r.id}" for r in network.risks]
+    return header, [body, *tail], {"meanfield_row": bool(steady.converged)}
 
 
 def _temporal_influence(args: argparse.Namespace, network, params: ModelParams):
     _resolve_threads(args.threads)  # validated like every --threads; the runs step as one block
     config = SimulationConfig(runs=args.runs, horizon=args.horizon, seed=args.seed)
     result = temporal_influence(network, params, args.source, config, baseline=args.baseline)
-    curves = (result.one_hop, result.two_hop)
-    rows = [[t, *(None if c is None else float(c[t]) for c in curves)] for t in range(config.horizon)]
-    return ["t", "one_hop", "two_hop"], rows, {
+    block = [np.arange(config.horizon), result.one_hop, result.two_hop]  # a missing curve is the scalar None
+    return ["t", "one_hop", "two_hop"], [block], {
         "one_hop_ids": list(result.one_hop_ids),
         "two_hop_ids": list(result.two_hop_ids),
     }
@@ -314,21 +319,16 @@ def _knockouts(args: argparse.Namespace, network, params: ModelParams):
 
 def _influence(args: argparse.Namespace, network, params: ModelParams):
     values = _knockouts(args, network, params).values
-    rows = (_MatrixRow(i, row, long=True) for i, row in enumerate(values))
-    return ["source", "target", "influence"], rows, None
+    targets = _coded(np.arange(network.size), np.arange(network.size))
+    return ["source", "target", "influence"], ([i, targets, row] for i, row in enumerate(values)), None
 
 
 def _category_influence(args: argparse.Namespace, network, params: ModelParams):
-    matrix = _knockouts(args, network, params)
-    aggregated = category_influence(matrix, network)
-    categories = list(enumerate(aggregated.categories))
-    rows = [
-        [cat_a.value, cat_b.value, float(aggregated.raw[a, b]), float(aggregated.normalized[a, b])]
-        for a, cat_a in categories
-        for b, cat_b in categories
-    ]
+    aggregated = category_influence(_knockouts(args, network, params), network)
+    names = [cat.value for cat in aggregated.categories]
+    blocks = [[name, names, raw, norm] for name, raw, norm in zip(names, aggregated.raw, aggregated.normalized)]
     header = ["source_category", "target_category", "raw", "normalized"]
-    return header, rows, {"categories": [cat.value for cat in aggregated.categories]}
+    return header, blocks, {"categories": names}
 
 
 def _add_output_args(sub: argparse.ArgumentParser) -> None:

@@ -5,17 +5,22 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import io
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carpnet import (
     ModelParams,
@@ -930,6 +935,114 @@ class TestTableCells:
             "    [\n      2,\n      0.16666666666666666,\n      null\n    ]\n"
             "  ]\n}\n"
         )
+
+
+FLOAT_CELLS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, math.nextafter(0.1, 1.0)]
+)
+INT64_CELLS = st.integers(-(2**63), 2**63 - 1)
+TEXT_CELLS = st.text() | st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\ronly", "crlf\r\n", "  lead", "naïve", ""])
+CELLS = st.none() | st.integers(-(2**200), 2**200) | FLOAT_CELLS | TEXT_CELLS
+BLOCK_KINDS = ["scalar", "list", "floats", "ints", "coded", "coded2d"]
+
+
+@st.composite
+def _block(draw):
+    """A table block of random column kinds, and the rows of cells it stands for."""
+    rows = draw(st.integers(0, 5))
+    block, columns = [], []  # columns: the cells of each table column
+    for kind in draw(st.lists(st.sampled_from(BLOCK_KINDS), min_size=1, max_size=4)):
+        if kind == "scalar":
+            cell = draw(CELLS)
+            block.append(cell)
+            columns.append([cell] * rows)
+        elif kind == "list":
+            cells = draw(st.lists(CELLS, min_size=rows, max_size=rows))
+            block.append(cells)
+            columns.append(cells)
+        elif kind in ("floats", "ints"):
+            cells = draw(st.lists(FLOAT_CELLS if kind == "floats" else INT64_CELLS, min_size=rows, max_size=rows))
+            block.append(np.array(cells, dtype=np.float64 if kind == "floats" else np.int64))
+            columns.append(cells)
+        else:
+            values = np.array(draw(st.lists(FLOAT_CELLS, min_size=1, max_size=4)
+                                   | st.lists(INT64_CELLS, min_size=1, max_size=4)))
+            shape = (rows,) if kind == "coded" else (rows, draw(st.integers(2, 3)))
+            codes = draw(st.lists(st.integers(0, len(values) - 1), min_size=math.prod(shape), max_size=math.prod(shape)))
+            codes = np.array(codes, dtype=np.intp).reshape(shape)
+            block.append(cli._coded(values, codes))
+            columns.extend(values[codes].T.tolist() if codes.ndim == 2 else [values[codes].tolist()])
+    if not any(isinstance(column, (list, np.ndarray, cli._Coded)) for column in block):
+        columns = [[cell] for cell in block]  # a block of scalars is one row
+    return block, [list(row) for row in zip(*columns)]
+
+
+class TestTableBlocks:
+    """Every block's CSV text is what the csv module writes for its rows, and its JSON what json writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocks=st.lists(_block(), min_size=1, max_size=3), block_cells=st.sampled_from([1, 5, 4096]))
+    def test_blocks_are_written_as_the_csv_and_json_modules_write_their_rows(
+        self, tmp_path_factory, blocks, block_cells
+    ):
+        out = tmp_path_factory.getbasetemp() / "blocks"
+        header = ["c0", "c1"]
+        rows = [row for _, cells in blocks for row in cells]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        with mock.patch.object(cli, "_BLOCK_CELLS", block_cells):  # pieces of 1, 2 or all rows
+            cli._write_table(str(out), "csv", header, [block for block, _ in blocks])
+            assert out.read_bytes().decode("utf-8") == expected.getvalue()
+            cli._write_table(str(out), "json", header, [block for block, _ in blocks])
+            assert out.read_text(encoding="utf-8") == json.dumps({"columns": header, "rows": rows}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("network", ["cells", "generated"])
+    @pytest.mark.parametrize("command, flags", [
+        ("steady-state", []),
+        ("transitions", []),
+        ("simulate", ["--runs", "7", "--horizon", "5", "--seed", "1"]),  # fewer frequencies than cells
+        ("simulate", ["--runs", "500", "--horizon", "2", "--seed", "1"]),  # more runs than cells
+        ("temporal-influence", ["--source", "0", "--runs", "6", "--horizon", "4", "--seed", "2"]),
+        ("influence", []),
+        ("category-influence", []),
+    ])
+    def test_csv_is_the_csv_module_over_the_json_rows(self, tmp_path, monkeypatch, network, command, flags):
+        monkeypatch.chdir(tmp_path)
+        if network == "cells":
+            Path("net.json").write_text(json.dumps(CELL_NETWORK), encoding="utf-8")
+            params = CELL_PARAMS
+        else:
+            _generate(tmp_path, nodes=40, edges=80)
+            params = PARAM_FLAGS
+        for fmt in ("csv", "json"):
+            assert run([command, "--network", "net.json", *params, *flags, "--format", fmt, "--output", fmt]) == 0
+        document = json.loads(Path("json").read_text(encoding="utf-8"))
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(document["columns"])
+        writer.writerows(document["rows"])
+        assert Path("csv").read_bytes().decode("utf-8") == expected.getvalue()
+
+    def test_a_300_by_300_influence_table_streams_in_bounded_memory(self, tmp_path, monkeypatch):
+        matrix = np.random.default_rng(0).random((300, 300))
+        monkeypatch.setattr(cli, "_knockouts", lambda args, network, params: SimpleNamespace(values=iter(matrix)))
+        out = tmp_path / "influence.csv"
+        tracemalloc.start()
+        try:
+            header, blocks, _ = cli._influence(None, SimpleNamespace(size=300), None)
+            cli._write_table(str(out), "csv", header, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = out.read_text(encoding="utf-8")
+        assert len(text) > 2_000_000  # so a table joined whole would pass 1 MiB
+        assert peak < 2**20
+        lines = text.splitlines()
+        assert len(lines) == 1 + 300 * 300
+        assert lines[:2] == ["source,target,influence", f"0,0,{matrix[0, 0].item()!r}"]
+        assert lines[-1] == f"299,299,{matrix[299, 299].item()!r}"
 
 
 HEAVY_MODULES = ("scipy", "scipy.optimize", "scipy.sparse")
