@@ -50,7 +50,9 @@ from .domain import (
 )
 from .errors import CarpError, ConvergenceError, ValidationError
 from .influence import category_influence, influence_matrix
-from .meanfield import InitMode, ext_int_ratios, fixed_point, stationarity_residual, transition_fractions
+from .meanfield import (
+    DEFAULT_MAX_ITER, DEFAULT_TOL, InitMode, ext_int_ratios, fixed_point, stationarity_residual, transition_fractions
+)
 from .mle import FitConfig, fit
 from .montecarlo import SimulationConfig, simulate, temporal_influence
 from .synth import generate_synthetic
@@ -343,8 +345,8 @@ def _add_param_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=1e-10, help="fixed-point tolerance")
-    sub.add_argument("--max-iter", type=int, default=100_000, help="fixed-point iteration cap")
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fixed-point tolerance")
+    sub.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="fixed-point iteration cap")
 
 
 def _add_threads_arg(sub: argparse.ArgumentParser) -> None:

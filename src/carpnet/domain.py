@@ -608,8 +608,6 @@ def save_network(network: RiskNetwork, path: str | Path) -> None:
 def _month_labels(start_label: str | None, n_steps: int) -> list[str]:
     if start_label is None:
         return [f"t{t}" for t in range(n_steps)]
-    if not _MONTH_LABEL.fullmatch(start_label):
-        raise ValidationError(f"start label must look like YYYY-MM, got {start_label!r}")
     year, month = int(start_label[:4]), int(start_label[5:7])
     labels = []
     for _ in range(n_steps):

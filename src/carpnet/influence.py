@@ -53,8 +53,6 @@ def knockout(network: RiskNetwork, risk_id: int) -> RiskNetwork:
     orders of magnitude below solver tolerances at month-scale parameters.
     Edges are kept, so the risk still counts neighbors, it just never fires.
     """
-    if not (0 <= risk_id < network.size):
-        raise ValidationError(f"risk id {risk_id} outside 0..{network.size - 1}")
     return network.with_normalized_likelihood(risk_id, KNOCKOUT_FLOOR)
 
 

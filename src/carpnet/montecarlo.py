@@ -30,7 +30,7 @@ import numpy as np
 
 from .domain import EventPanel, ModelParams, RiskNetwork
 from .dynamics import NetworkState, _step_block, philox_stream
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .meanfield import fixed_point
 
 MAX_CELLS = 2**31  # cells one call may hold in count tables and recorded panels
@@ -248,7 +248,7 @@ def temporal_influence(
     if baseline == "steady":
         solution = fixed_point(network, params)
         if not solution.converged:
-            raise ValidationError("steady baseline requires a converged mean-field solve")
+            raise ConvergenceError("steady baseline requires a converged mean-field solve")
         p_steady = solution.p_hat
 
     def start(rngs):

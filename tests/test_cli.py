@@ -26,6 +26,7 @@ from carpnet import (
     ModelParams,
     RiskNetwork,
     SimulationConfig,
+    SteadyState,
     ValidationError,
     fixed_point,
     load_network,
@@ -318,6 +319,20 @@ class TestTemporalInfluence:
         assert float(rows[0][1]) == 0.0
         meta = json.loads((tmp_path / "temporal.csv.meta.json").read_text())
         assert meta["result"]["one_hop_ids"]
+
+    def test_unconverged_steady_baseline_exits_3(self, tmp_path, capsys, monkeypatch):
+        network, _ = _generate(tmp_path)
+        unconverged = SteadyState(np.full(10, 0.5), iterations=1, residual=1.0, converged=False)
+        monkeypatch.setattr("carpnet.montecarlo.fixed_point", lambda network, params: unconverged)
+        code = run(
+            [
+                "temporal-influence", "--network", str(network), *PARAM_FLAGS, "--source", "0",
+                "--runs", "4", "--horizon", "3", "--baseline", "steady", "--output", str(tmp_path / "t.csv"),
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: steady baseline requires a converged mean-field solve\n"
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestExitCodes:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carpnet import (
+    ConvergenceError,
     ModelParams,
     NetworkState,
     SimulationConfig,
+    SteadyState,
     ValidationError,
     fixed_point,
     activation_prob,
@@ -248,6 +250,13 @@ class TestTemporalInfluence:
             temporal_influence(net, PARAMS_FAST, 99, config)
         with pytest.raises(ValidationError):
             temporal_influence(net, PARAMS_FAST, 0, config, baseline="noise")
+
+    def test_unconverged_steady_baseline_raises_convergence_error(self, monkeypatch):
+        net = small_network()
+        unconverged = SteadyState(np.full(net.size, 0.5), iterations=1, residual=1.0, converged=False)
+        monkeypatch.setattr(montecarlo, "fixed_point", lambda network, params: unconverged)
+        with pytest.raises(ConvergenceError, match="^steady baseline requires a converged mean-field solve$"):
+            temporal_influence(net, PARAMS_FAST, 0, SimulationConfig(runs=3, horizon=3), baseline="steady")
 
 
 def loop_track(network, params, bits, horizon, rng):
