@@ -9,12 +9,13 @@ and the parameters. Writing ``y_i = log(1 - L_i)``, the four cases are
     active  -> active    log(1 - exp(gamma * y_i))
     active  -> dormant   gamma * y_i
 
-so the panel log-likelihood collapses onto sufficient statistics of size
-R + 2E for R risks and E edges, none sized by the largest degree (see
-:class:`PanelStats`). It adds them up one block of months at a time, each
-block at most ``_BLOCK_CELLS`` (month, risk) cells, so its working set does
-not grow with the panel length; each likelihood or gradient evaluation then
-reduces over the nonzero cells only, at a cost independent of the panel length.
+so the panel log-likelihood collapses onto sufficient statistics: counts of
+dormant transitions per (risk, k) cell and of active transitions per risk.
+:class:`PanelStats` adds those tables up one block of months at a time, each
+block at most ``_BLOCK_CELLS`` (month, risk) cells, so its working set
+depends on R and not on the panel length; each likelihood or gradient
+evaluation then reduces over the nonzero cells only, at a cost independent
+of the panel length.
 
 Fitting maximizes the log-likelihood over ``(ln alpha, ln beta, ln gamma)``
 by Newton's method on the exact gradient and Hessian, restarted from several
@@ -57,20 +58,18 @@ _BLOCK_CELLS = 2**15  # (month, risk) cells per block of PanelStats: 32 months a
 class PanelStats:
     """Sufficient statistics of one panel for repeated likelihood evaluation.
 
-    Per risk, ``n00`` counts dormant->dormant transitions and ``k00`` sums
-    their active-neighbor counts k, which is exact since the stay log-prob is
-    linear in alpha and beta; ``n11``/``n10`` count active->active and
-    active->dormant transitions. ``c01`` counts dormant->active transitions
-    per (risk, k) cell, ragged: risk r has one cell per k = 0..degree(r), so
-    R + 2E in all, and no statistic is sized by the largest degree.
-    Evaluations read the nonzero ``c01`` cells as flat arrays and the sums
-    ``n00 @ y``, ``k00 @ y`` and ``n10 @ y``, so each costs O(nonzero cells).
+    ``c01``/``c00`` count dormant->active and dormant->dormant transitions per
+    (risk, active-neighbor count) cell, ``n11``/``n10`` active->active and
+    active->dormant transitions per risk. Evaluations read only compact forms
+    of them: the dormant-stay weights ``w00 = c00.T @ y`` per count, the
+    nonzero ``c01`` cells as flat arrays, the recovery sum ``n10 @ y`` and the
+    risks with ``n11 > 0``, so each costs O(nonzero cells), not O(R K).
 
     The counts are added up over blocks of ``_BLOCK_CELLS // R`` consecutive
     month pairs (at least one), each block's active-neighbor counts k of its
     earlier months from one :meth:`RiskNetwork.neighbor_counts` call. Every
-    count is an exact integer, so the statistics do not depend on the block
-    size, and the temporaries never outgrow one block however long the panel is.
+    count is an exact integer, so the tables do not depend on the block size,
+    and the temporaries never outgrow one block however long the panel is.
     """
 
     def __init__(self, panel: EventPanel, network: RiskNetwork) -> None:
@@ -81,35 +80,36 @@ class PanelStats:
         if panel.n_steps < 2:
             raise ValidationError("likelihood evaluation needs a panel with at least 2 months")
         size = network.size
-        indptr = network.neighbor_arrays[0]
-        offsets = indptr[:-1] + np.arange(size, dtype=np.int32)  # risk r's cells, k = 0..degree(r), start here
-        c01 = np.zeros(int(indptr[-1]) + size, dtype=np.int64)
-        n00, k00, n1, n11 = np.zeros((4, size), dtype=np.int64)
+        width = int(network.degrees.max(initial=0)) + 1
+        cells = size * width
+        c01, c00 = np.zeros(cells, dtype=np.int64), np.zeros(cells, dtype=np.int64)
+        n1, n11 = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+        offsets = np.arange(0, cells, width, dtype=np.int32)
         span = max(1, _BLOCK_CELLS // size)  # month pairs per block
         for start in range(0, panel.n_steps - 1, span):
             months = np.ascontiguousarray(panel.states[:, start : start + span + 1].T)  # row t is month start + t
             old, new = months[:-1], months[1:]
-            counts = network.neighbor_counts(old)  # k at the earlier month, exact int32
+            # flat (risk, k) index, k = active neighbors at the earlier month, counted exactly as int32
+            cell = network.neighbor_counts(old)
+            cell += offsets
             dormant = old == 0
-            rest = dormant & (new == 0)
-            n00 += rest.sum(axis=0)
-            k00 += (counts * rest).sum(axis=0)
-            counts += offsets  # flat ragged (risk, k) cell
-            # unbuffered adds cost per activation, not per cell as a bincount would
-            np.add.at(c01, counts[dormant & (new == 1)], 1)
+            # unbuffered adds cost per transition, not per cell of the table as a bincount would
+            np.add.at(c01, cell[dormant & (new == 1)], 1)
+            np.add.at(c00, cell[dormant & (new == 0)], 1)
             n1 += old.sum(axis=0)
             n11 += (old & new).sum(axis=0)
-        self.c01, self.n00, self.k00 = c01, n00, k00
+        self.c01, self.c00 = c01.reshape(size, width), c00.reshape(size, width)
         self.n11, self.n10 = n11, n1 - n11
+        self.k_values = np.arange(width, dtype=np.float64)
         y = np.log1p(-network.likelihoods)  # strictly negative
+        self.log_survival = y
         self.n_transitions = int(size * (panel.n_steps - 1))
 
-        self._n00y, self._k00y = float(n00 @ y), float(k00 @ y)  # dormant-stay log-prob is alpha n00y + beta k00y
-        cells = np.flatnonzero(c01)
-        risk01 = np.searchsorted(offsets, cells, side="right") - 1
-        self._n01 = c01[cells].astype(np.float64)
+        self._w00 = self.c00.T @ y  # dormant-stay log-prob is w00 @ (alpha + beta k)
+        risk01, k01 = np.nonzero(self.c01)
+        self._n01 = self.c01[risk01, k01].astype(np.float64)
         self._y01 = y[risk01]
-        self._k01 = (cells - offsets[risk01]).astype(np.float64)
+        self._k01 = k01.astype(np.float64)
         self._n10y = float(self.n10 @ y)
         stay = self.n11 > 0
         self._n11 = self.n11[stay].astype(np.float64)
@@ -120,8 +120,7 @@ class PanelStats:
             u01 = self._y01 * (params.alpha + params.beta * self._k01)
             u11 = params.gamma * self._y11
             return float(
-                params.alpha * self._n00y
-                + params.beta * self._k00y
+                self._w00 @ (params.alpha + params.beta * self.k_values)
                 + self._n01 @ np.log(-np.expm1(u01))
                 + params.gamma * self._n10y
                 + self._n11 @ np.log(-np.expm1(u11))
@@ -139,8 +138,8 @@ class PanelStats:
         alpha, beta, gamma = params.as_tuple()
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             _, f01, r01, s01 = self._activation_terms(alpha, beta)
-            d_alpha = alpha * self._n00y - self._n01 @ (f01 * r01)
-            d_beta = beta * self._k00y - self._n01 @ (f01 * s01)
+            d_alpha = alpha * self._w00.sum() - self._n01 @ (f01 * r01)
+            d_beta = beta * (self._w00 @ self.k_values) - self._n01 @ (f01 * s01)
             d_gamma = gamma * self._n10y - self._n11 @ _bounded_slope(gamma * self._y11)
         return np.array([d_alpha, d_beta, d_gamma], dtype=np.float64)
 
@@ -160,8 +159,8 @@ class PanelStats:
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             u01, f01, r01, s01 = self._activation_terms(alpha, beta)
             q01 = -f01 * (u01 + f01)
-            h_aa = alpha * self._n00y + self._n01 @ ((q01 * r01 - f01) * r01)
-            h_bb = beta * self._k00y + self._n01 @ ((q01 * s01 - f01) * s01)
+            h_aa = alpha * self._w00.sum() + self._n01 @ ((q01 * r01 - f01) * r01)
+            h_bb = beta * (self._w00 @ self.k_values) + self._n01 @ ((q01 * s01 - f01) * s01)
             h_ab = self._n01 @ (q01 * r01 * s01)
             u11 = gamma * self._y11
             f11 = _bounded_slope(u11)
