@@ -9,13 +9,12 @@ and the parameters. Writing ``y_i = log(1 - L_i)``, the four cases are
     active  -> active    log(1 - exp(gamma * y_i))
     active  -> dormant   gamma * y_i
 
-so the panel log-likelihood collapses onto sufficient statistics: counts of
-dormant transitions per (risk, k) cell and of active transitions per risk.
-:class:`PanelStats` adds those tables up one block of months at a time, each
-block at most ``_BLOCK_CELLS`` (month, risk) cells, so its working set
-depends on R and not on the panel length; each likelihood or gradient
-evaluation then reduces over the nonzero cells only, at a cost independent
-of the panel length.
+so the panel log-likelihood collapses onto sufficient statistics of
+R + 2E numbers for R risks and E edges, none sized by the largest degree (see
+:class:`PanelStats`). It adds them up one block of months at a time, each
+block at most ``_BLOCK_CELLS`` (month, risk) cells, so its working set does
+not grow with the panel length; each likelihood or gradient evaluation then
+reduces over the nonzero cells only, at a cost independent of the panel length.
 
 Fitting maximizes the log-likelihood over ``(ln alpha, ln beta, ln gamma)``
 by Newton's method on the exact gradient and Hessian, restarted from several
@@ -25,14 +24,15 @@ with the least shift ``lambda`` (0 first) for which a Cholesky factorization
 succeeds (Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 3.4),
 then searches along ``d``: Armijo backtracking from the full step, or doubling
 it while the log-likelihood still rises, which crosses the exponential tails
-toward a supremum on the boundary in a few steps. The
-log-parameters are clipped to ``[-700, 700]``, where exp stays finite; past
-the clip the objective is flat and a coordinate there is held fixed, as is one
-the panel carries no information on (zero gradient and zero curvature, such
-as beta on an edgeless network). Positivity is structural in log space, and
-the multi-start guards against the near-flat region where alpha and beta are
-both tiny. The supplied initial guess is always included as the first start,
-so the fitted log-likelihood can never fall below the initial one.
+toward a supremum on the boundary in a few steps. The log-parameters are
+clipped to ``[-700, 700]``, where exp stays finite; past the clip the
+objective is flat and a coordinate there is held fixed, as is one the panel
+carries no information on (zero gradient and zero curvature, such as beta on
+an edgeless network). Positivity is structural in log space, and the
+multi-start guards against the near-flat region where alpha and beta are both
+tiny. The supplied initial guess is always included as the first start, so
+the fitted log-likelihood never falls below the initial one by more than
+``_FTOL`` relative.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .dynamics import philox_stream
 from .errors import ValidationError
 
 _LOG_LIMIT = 700.0  # exp overflows past this, clip log-parameters to +-700
-_FTOL = 1e-12  # relative increase of the log-likelihood at which a start stops
+_FTOL = 1e-12  # relative change of the log-likelihood at which a start stops, and starts tie
 _GTOL = 1e-8  # largest free gradient component at which a start stops
 _ARMIJO = 1e-4  # sufficient-increase fraction of the line search
 _HALVINGS = 60  # backtracking steps before a line search gives up
@@ -58,59 +58,57 @@ _BLOCK_CELLS = 2**15  # (month, risk) cells per block of PanelStats: 32 months a
 class PanelStats:
     """Sufficient statistics of one panel for repeated likelihood evaluation.
 
-    ``c01``/``c00`` count dormant->active and dormant->dormant transitions per
-    (risk, active-neighbor count) cell, ``n11``/``n10`` active->active and
-    active->dormant transitions per risk. Evaluations read only compact forms
-    of them: the dormant-stay weights ``w00 = c00.T @ y`` per count, the
-    nonzero ``c01`` cells as flat arrays, the recovery sum ``n10 @ y`` and the
-    risks with ``n11 > 0``, so each costs O(nonzero cells), not O(R K).
+    Per risk, ``n00`` counts dormant->dormant transitions and ``k00`` sums
+    their active-neighbor counts k, which is exact since the stay log-prob is
+    linear in alpha and beta; ``n11``/``n10`` count active->active and
+    active->dormant transitions. ``c01`` counts dormant->active transitions
+    per (risk, k) cell, ragged over ``neighbor_arrays``' ``indptr``: risk r's
+    cells, k = 0..degree(r), start at ``indptr[r] + r``, R + 2E in all.
+    Evaluations read the nonzero ``c01`` cells as flat arrays and the sums
+    ``n00 @ y``, ``k00 @ y`` and ``n10 @ y``, so each costs O(nonzero cells).
 
     The counts are added up over blocks of ``_BLOCK_CELLS // R`` consecutive
     month pairs (at least one), each block's active-neighbor counts k of its
     earlier months from one :meth:`RiskNetwork.neighbor_counts` call. Every
-    count is an exact integer, so the tables do not depend on the block size,
-    and the temporaries never outgrow one block however long the panel is.
+    count is an exact integer, so the statistics do not depend on the block
+    size, and the temporaries never outgrow one block however long the panel is.
     """
 
     def __init__(self, panel: EventPanel, network: RiskNetwork) -> None:
         if panel.n_risks != network.size:
-            raise ValidationError(
-                f"panel has {panel.n_risks} risks but the network has {network.size}"
-            )
+            raise ValidationError(f"panel has {panel.n_risks} risks but the network has {network.size}")
         if panel.n_steps < 2:
             raise ValidationError("likelihood evaluation needs a panel with at least 2 months")
         size = network.size
-        width = int(network.degrees.max(initial=0)) + 1
-        cells = size * width
-        c01, c00 = np.zeros(cells, dtype=np.int64), np.zeros(cells, dtype=np.int64)
-        n1, n11 = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
-        offsets = np.arange(0, cells, width, dtype=np.int32)
+        indptr = network.neighbor_arrays[0]
+        offsets = indptr[:-1] + np.arange(size, dtype=np.int32)  # risk r's cells, k = 0..degree(r), start here
+        c01 = np.zeros(int(indptr[-1]) + size, dtype=np.int64)
+        n00, k00, n1, n11 = np.zeros((4, size), dtype=np.int64)
         span = max(1, _BLOCK_CELLS // size)  # month pairs per block
         for start in range(0, panel.n_steps - 1, span):
             months = np.ascontiguousarray(panel.states[:, start : start + span + 1].T)  # row t is month start + t
             old, new = months[:-1], months[1:]
-            # flat (risk, k) index, k = active neighbors at the earlier month, counted exactly as int32
-            cell = network.neighbor_counts(old)
-            cell += offsets
+            counts = network.neighbor_counts(old)  # k at the earlier month, exact int32
             dormant = old == 0
-            # unbuffered adds cost per transition, not per cell of the table as a bincount would
-            np.add.at(c01, cell[dormant & (new == 1)], 1)
-            np.add.at(c00, cell[dormant & (new == 0)], 1)
+            rest = dormant & (new == 0)
+            n00 += rest.sum(axis=0)
+            k00 += (counts * rest).sum(axis=0)
+            counts += offsets  # flat ragged (risk, k) cell
+            # unbuffered adds cost per activation, not per cell as a bincount would
+            np.add.at(c01, counts[dormant & (new == 1)], 1)
             n1 += old.sum(axis=0)
             n11 += (old & new).sum(axis=0)
-        self.c01, self.c00 = c01.reshape(size, width), c00.reshape(size, width)
+        self.c01, self.n00, self.k00 = c01, n00, k00
         self.n11, self.n10 = n11, n1 - n11
-        self.k_values = np.arange(width, dtype=np.float64)
         y = np.log1p(-network.likelihoods)  # strictly negative
-        self.log_survival = y
         self.n_transitions = int(size * (panel.n_steps - 1))
 
-        self._w00 = self.c00.T @ y  # dormant-stay log-prob is w00 @ (alpha + beta k)
-        risk01, k01 = np.nonzero(self.c01)
-        self._n01 = self.c01[risk01, k01].astype(np.float64)
+        self._n00y, self._k00y, self._n10y = float(n00 @ y), float(k00 @ y), float(self.n10 @ y)
+        cells = np.flatnonzero(c01)
+        risk01 = np.searchsorted(offsets, cells, side="right") - 1
+        self._n01 = c01[cells].astype(np.float64)
         self._y01 = y[risk01]
-        self._k01 = k01.astype(np.float64)
-        self._n10y = float(self.n10 @ y)
+        self._k01 = (cells - offsets[risk01]).astype(np.float64)
         stay = self.n11 > 0
         self._n11 = self.n11[stay].astype(np.float64)
         self._y11 = y[stay]
@@ -120,7 +118,7 @@ class PanelStats:
             u01 = self._y01 * (params.alpha + params.beta * self._k01)
             u11 = params.gamma * self._y11
             return float(
-                self._w00 @ (params.alpha + params.beta * self.k_values)
+                params.alpha * self._n00y + params.beta * self._k00y
                 + self._n01 @ np.log(-np.expm1(u01))
                 + params.gamma * self._n10y
                 + self._n11 @ np.log(-np.expm1(u11))
@@ -138,8 +136,8 @@ class PanelStats:
         alpha, beta, gamma = params.as_tuple()
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             _, f01, r01, s01 = self._activation_terms(alpha, beta)
-            d_alpha = alpha * self._w00.sum() - self._n01 @ (f01 * r01)
-            d_beta = beta * (self._w00 @ self.k_values) - self._n01 @ (f01 * s01)
+            d_alpha = alpha * self._n00y - self._n01 @ (f01 * r01)
+            d_beta = beta * self._k00y - self._n01 @ (f01 * s01)
             d_gamma = gamma * self._n10y - self._n11 @ _bounded_slope(gamma * self._y11)
         return np.array([d_alpha, d_beta, d_gamma], dtype=np.float64)
 
@@ -159,8 +157,8 @@ class PanelStats:
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
             u01, f01, r01, s01 = self._activation_terms(alpha, beta)
             q01 = -f01 * (u01 + f01)
-            h_aa = alpha * self._w00.sum() + self._n01 @ ((q01 * r01 - f01) * r01)
-            h_bb = beta * (self._w00 @ self.k_values) + self._n01 @ ((q01 * s01 - f01) * s01)
+            h_aa = alpha * self._n00y + self._n01 @ ((q01 * r01 - f01) * r01)
+            h_bb = beta * self._k00y + self._n01 @ ((q01 * s01 - f01) * s01)
             h_ab = self._n01 @ (q01 * r01 * s01)
             u11 = gamma * self._y11
             f11 = _bounded_slope(u11)
@@ -287,26 +285,35 @@ def _ascend(stats: PanelStats, theta: np.ndarray, max_iter: int) -> tuple[np.nda
     """Newton iterations from one start: ``(theta, log-likelihood, iterations, converged)``.
 
     Only free coordinates move: those inside the clip with a nonzero gradient
-    or curvature. A start stops once every free gradient component is at most
-    ``_GTOL``, or once an iteration raises the log-likelihood by at most
-    ``_FTOL`` relative to it.
+    or curvature. A start converges once every free gradient component is at
+    most ``_GTOL``, or once an iteration raises the log-likelihood by at most
+    ``_FTOL`` relative. It then ends on one full Newton step, not counted in
+    the iterations and kept unless it lowers the log-likelihood by more than
+    ``_FTOL`` relative, so the end point does not follow the last bit.
     """
     value = _value(stats, theta)
     if not math.isfinite(value):
         return theta, value, 0, False
-    for iteration in range(max_iter):
+    converged = False
+    for iteration in range(max_iter + 1):
         params = _params_at(theta)
         grad, hess = stats.gradient(params), stats.hessian(params)
         free = (np.abs(theta) <= _LOG_LIMIT) & ((grad != 0.0) | (np.diag(hess) != 0.0))
-        if not free.any() or np.abs(grad[free]).max() <= _GTOL:
+        if not free.any():
             return theta, value, iteration, True
+        converged = converged or bool(np.abs(grad[free]).max() <= _GTOL)
         step = np.zeros(3)
         step[free] = _newton_step(-hess[np.ix_(free, free)], grad[free])
+        if converged or iteration == max_iter:
+            break
         theta, reached = _line_search(stats, theta, value, step, grad @ step)
-        if reached - value <= _FTOL * max(abs(value), abs(reached), 1.0):
-            return theta, reached, iteration + 1, True
+        converged = reached - value <= _FTOL * max(abs(value), abs(reached), 1.0)
         value = reached
-    return theta, value, max_iter, False
+    if converged:
+        polished = _value(stats, theta + step)
+        if polished >= value - _FTOL * max(abs(value), 1.0):
+            theta, value = theta + step, polished
+    return theta, value, iteration, converged
 
 
 def fit(
@@ -320,8 +327,9 @@ def fit(
     Runs safeguarded Newton iterations on the exact gradient and Hessian in
     log-parameter space from ``init`` (default ``ModelParams(0.01, 0.01, 1.0)``)
     plus ``config.starts`` random starts drawn log-uniformly from ``[1e-5, 10]``
-    per component, one after the other, and keeps the best final value; ties go
-    to the earliest start. ``iterations`` counts the winning start's Newton
+    per component, one after the other. The winner is the earliest start whose
+    final value lies within ``_FTOL`` relative of the best, so which start wins
+    does not follow the last bit. ``iterations`` counts the winning start's Newton
     iterations, at most ``config.max_iter``. A panel that never leaves the
     all-dormant or all-active state pins some parameters to the search
     boundary, which is reported through ``degenerate`` rather than an
@@ -339,15 +347,7 @@ def fit(
         starts.extend(box)
 
     outcomes = [_ascend(stats, theta0, config.max_iter) for theta0 in starts]
-    finite = [outcome for outcome in outcomes if math.isfinite(outcome[1])]
-    theta, value, iterations, converged = (
-        max(finite, key=lambda outcome: outcome[1]) if finite else outcomes[0]  # first of ties
-    )
-    return FitResult(
-        params=_params_at(theta),
-        log_likelihood=value,
-        iterations=iterations,
-        converged=converged,
-        degenerate=degenerate,
-        n_starts=len(starts),
-    )
+    best = max(outcome[1] for outcome in outcomes)
+    floor = best - _FTOL * max(abs(best), 1.0)  # -inf when no start has a finite value; then the first start wins
+    theta, value, iterations, converged = next(outcome for outcome in outcomes if outcome[1] >= floor)
+    return FitResult(_params_at(theta), value, iterations, converged, degenerate, len(starts))

@@ -122,7 +122,7 @@ class TestStep:
 
 
 def python_transition_counts(network, states):
-    """``PanelStats`` tables (c01, c00, n11, n10) by plain Python counting."""
+    """Dense (risk, k) tables c01 and c00 and per-risk n11 and n10 by plain Python counting."""
     degree = max(len(network.neighbors(i)) for i in range(network.size))
     c01 = np.zeros((network.size, degree + 1), dtype=np.int64)
     c00 = np.zeros_like(c01)
@@ -158,10 +158,13 @@ HUB_PARAMS = ModelParams(0.01, 0.05, 1.5)
 
 
 def assert_panel_stats_match_python(network, states):
+    """``PanelStats`` against the Python tables: ragged c01 up to each degree, n00 = c00's row sums, k00 = c00 @ k."""
     stats = PanelStats(EventPanel(states), network)
     c01, c00, n11, n10 = python_transition_counts(network, states)
-    assert np.array_equal(stats.c01, c01)
-    assert np.array_equal(stats.c00, c00)
+    k = np.arange(c01.shape[1])
+    assert np.array_equal(stats.c01, c01[k <= network.degrees[:, None]])
+    assert np.array_equal(stats.n00, c00.sum(axis=1))
+    assert np.array_equal(stats.k00, c00 @ k)
     assert np.array_equal(stats.n11, n11)
     assert np.array_equal(stats.n10, n10)
 

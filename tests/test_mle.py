@@ -1,5 +1,6 @@
 """Panel log-likelihood, analytic gradient and Hessian, and maximum-likelihood fitting."""
 
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -221,7 +222,7 @@ class TestCompactedStatistics:
         # one month pair per block, then blocks of all but one, which leaves a short last block
         for months in (1, max(1, pairs - 1)):
             stats = panel_stats_in_blocks(panel, network, months)
-            for name in ("c01", "c00", "n11", "n10"):
+            for name in ("c01", "n00", "k00", "n11", "n10"):
                 assert np.array_equal(getattr(stats, name), getattr(whole, name)), name
             for method in ("log_likelihood", "gradient", "hessian"):
                 ours, reference = (np.asarray(getattr(s, method)(params)) for s in (stats, whole))
@@ -230,26 +231,34 @@ class TestCompactedStatistics:
     def test_working_set_does_not_grow_with_the_panel(self):
         network, panel = generate_synthetic(1000, 5000, (0.5, 0.8), ModelParams(5.3e-3, 3e-3, 2.5), 240, seed=0)
         PanelStats(panel, network)  # builds the network's cached graph views outside the measurement
-
-        def traced_peak(build):
-            tracemalloc.start()
-            try:
-                build()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         default = traced_peak(lambda: PanelStats(panel, network))
         whole = traced_peak(lambda: panel_stats_in_blocks(panel, network, panel.n_steps - 1))
         assert default <= whole / 2
+
+    def test_a_hub_does_not_make_memory_quadratic(self):
+        # a table of R x (max degree + 1) cells would take 2000 x 2000 int64s, 30.5 MiB each
+        network = make_network([0.5] * 2000, [(0, j) for j in range(1, 2000)])
+        panel = EventPanel(np.random.default_rng(5).integers(0, 2, size=(network.size, 12)))
+        PanelStats(panel, network)  # builds the network's cached graph views outside the measurement
+        assert traced_peak(lambda: PanelStats(panel, network)) < 4 * 2**20
 
     def test_hessian_of_the_zero_activation_panel(self):
         net = make_network([0.4, 0.5], [(0, 1)])
         stats = PanelStats(EventPanel(np.zeros((2, 10), dtype=int)), net)
         hess = stats.hessian(HAND_PARAMS)
-        # the log-likelihood is alpha w00 + beta (w00 @ k): linear, so H is diag(gradient)
+        # the log-likelihood is alpha (n00 @ y) + beta (k00 @ y): linear, so H is diag(gradient)
         assert np.array_equal(hess, np.diag(stats.gradient(HAND_PARAMS)))
         assert_hessian_matches_gradient_differences(stats, np.log(np.array(HAND_PARAMS.as_tuple())))
+
+
+def traced_peak(build):
+    """Peak bytes tracemalloc sees while ``build()`` runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_hessian_matches_gradient_differences(stats, theta, h=1e-4):
@@ -318,6 +327,25 @@ class TestFit:
         # short random panels often put the supremum on the boundary, or have several maxima
         network, panel = case
         assert_fit_scores_at_least_an_lbfgsb_reference(panel, network)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_last_bit_noise_in_the_objective_does_not_move_the_fit(self, seed):
+        # each evaluation is scaled by 1 + j k 2**-53, j cycling through -2..2: a reordered sum
+        # moves the log-likelihood by about that much, and must not move the end point with it
+        net, panel = generate_synthetic(30, 275, (0.5, 0.8), ModelParams(5.3e-3, 3e-3, 2.5), 120, seed=seed)
+        clean = fit(panel, net)
+        exact = PanelStats.log_likelihood
+        for k in (1, 2):
+            calls = itertools.count()
+
+            def noisy(self, params, k=k, calls=calls):
+                return exact(self, params) * (1 + (next(calls) % 5 - 2) * k * 2**-53)
+
+            with mock.patch.object(PanelStats, "log_likelihood", noisy):
+                result = fit(panel, net)
+            assert result.iterations == clean.iterations
+            for got, want in zip(result.params.as_tuple(), clean.params.as_tuple()):
+                assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_edgeless_network_holds_beta_at_its_start(self):
         rng = np.random.default_rng(3)
