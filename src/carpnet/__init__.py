@@ -39,7 +39,7 @@ _LAZY = {
                   "influence_matrix", "knockout"),
     "meanfield": ("InitMode", "SteadyState", "TransitionFractions", "ext_int_ratio", "ext_int_ratios",
                   "fixed_point", "stationarity_residual", "transition_fractions"),
-    "mle": ("FitConfig", "FitResult", "PanelStats", "fit", "log_likelihood"),
+    "mle": ("FitResult", "PanelStats", "fit", "log_likelihood"),
     "montecarlo": ("FrequencyTrajectory", "SimulationConfig", "TemporalInfluence", "simulate", "temporal_influence"),
     "synth": ("generate_synthetic",),
 }
@@ -68,7 +68,6 @@ __all__ = [
     "CategoryInfluence",
     "ConvergenceError",
     "EventPanel",
-    "FitConfig",
     "FitResult",
     "FrequencyTrajectory",
     "InfluenceMatrix",

@@ -10,7 +10,7 @@ it writes a network and a panel, with the sidecar next to the panel. ``fit``
 writes a single JSON document with the metadata embedded.
 
 A sidecar's ``options`` are every parsed argument except files, the table
-format and the thread count (``fit`` nests its starting point under
+format and the thread count (``fit`` nests its one starting point under
 ``init``), so any result can be audited and reproduced. All writes are
 atomic: a table is written block by block into a temp file that is renamed
 onto ``--output`` only once the last row is in. No output carries a timestamp,
@@ -53,7 +53,7 @@ from .influence import category_influence, influence_matrix
 from .meanfield import (
     DEFAULT_MAX_ITER, DEFAULT_TOL, InitMode, ext_int_ratios, fixed_point, stationarity_residual, transition_fractions
 )
-from .mle import FitConfig, fit
+from .mle import fit
 from .montecarlo import SimulationConfig, simulate, temporal_influence
 from .synth import generate_synthetic
 from .utils import atomic_open, atomic_write_text, sha256_file
@@ -198,22 +198,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     network = load_network(args.network)
     panel = load_panel(args.panel)
-    _resolve_threads(args.threads)  # validated like every --threads; the fit runs its starts in order
-    config = FitConfig(starts=args.starts, seed=args.seed, max_iter=args.max_iter)
+    _resolve_threads(args.threads)  # validated like every --threads; the fit is one serial ascent
     init = ModelParams(args.init_alpha, args.init_beta, args.init_gamma)
-    result = fit(panel, network, init=init, config=config)
+    result = fit(panel, network, init=init, max_iter=args.max_iter)
     document = _meta(
         args,
         {"network": args.network, "panel": args.panel},
         result={
-            "alpha": result.params.alpha,
-            "beta": result.params.beta,
-            "gamma": result.params.gamma,
+            **dict(zip(("alpha", "beta", "gamma"), result.params)),
             "log_likelihood": result.log_likelihood,
             "iterations": result.iterations,
             "converged": result.converged,
             "degenerate": result.degenerate,
-            "n_starts": result.n_starts,
         },
     )
     atomic_write_text(args.output, json.dumps(document, indent=2, sort_keys=True) + "\n")
@@ -432,8 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_cmd = commands.add_parser("fit", help="maximum-likelihood parameter fit from a panel")
     fit_cmd.add_argument("--network", required=True)
     fit_cmd.add_argument("--panel", required=True)
-    fit_cmd.add_argument("--starts", type=int, default=5, help="random restarts beyond the init point")
-    fit_cmd.add_argument("--seed", type=int, default=0)
     fit_cmd.add_argument("--max-iter", type=int, default=2000)
     fit_cmd.add_argument("--init-alpha", type=float, default=0.01)
     fit_cmd.add_argument("--init-beta", type=float, default=0.01)

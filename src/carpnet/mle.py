@@ -16,23 +16,24 @@ block at most ``_BLOCK_CELLS`` (month, risk) cells, so its working set does
 not grow with the panel length; each likelihood or gradient evaluation then
 reduces over the nonzero cells only, at a cost independent of the panel length.
 
-Fitting maximizes the log-likelihood over ``(ln alpha, ln beta, ln gamma)``
-by Newton's method on the exact gradient and Hessian, restarted from several
-random points drawn log-uniformly from a wide box. Each step solves
-``(-H + lambda I) d = g``, in coordinates scaled to a unit Hessian diagonal,
-with the least shift ``lambda`` (0 first) for which a Cholesky factorization
-succeeds (Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 3.4),
-then searches along ``d``: Armijo backtracking from the full step, or doubling
-it while the log-likelihood still rises, which crosses the exponential tails
-toward a supremum on the boundary in a few steps. The log-parameters are
-clipped to ``[-700, 700]``, where exp stays finite; past the clip the
-objective is flat and a coordinate there is held fixed, as is one the panel
-carries no information on (zero gradient and zero curvature, such as beta on
-an edgeless network). Positivity is structural in log space, and the
-multi-start guards against the near-flat region where alpha and beta are both
-tiny. The supplied initial guess is always included as the first start, so
-the fitted log-likelihood never falls below the initial one by more than
-``_FTOL`` relative.
+Fitting maximizes the log-likelihood over the closed orthant alpha, beta,
+gamma >= 0, where it is jointly concave: each term is linear in the parameters
+or ``log(1 - exp(u))`` with ``u < 0`` affine in them, a concave function of u
+(Boyd & Vandenberghe, *Convex Optimization*, 2004, section 3.2.4). So a point
+that meets the KKT conditions (section 5.5.3) is a global maximum, and one
+start suffices. The fit runs projected Newton (Bertsekas, *SIAM J. Control
+Optim.* 20, 1982) from ``init``: each step solves ``-H d = g`` over the free
+parameters, those above 0 or at 0 with a positive gradient, then searches
+along the projected arc ``max(theta + t d, 0)``: Armijo backtracking from the
+full step, or doubling it while the log-likelihood still rises, which crosses
+the exponential tail toward a supremum at infinity (gamma on an all-active
+panel) in a few steps. A parameter the log-likelihood is linear in (alpha
+with no activation, beta with none at k >= 1, gamma with no stay-active
+month) is separable too: it goes straight to 0 if its slope is negative, and
+is held at its start if the panel carries no information on it (beta on an
+edgeless network). A supremum on the boundary is thus reported as exactly 0.
+Every step raises the log-likelihood, or lowers it by at most its rounding
+(``_FTOL`` relative) once the rise a step predicts is below that rounding.
 """
 
 from __future__ import annotations
@@ -43,15 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import EventPanel, ModelParams, RiskNetwork
-from .dynamics import philox_stream
 from .errors import ValidationError
 
-_LOG_LIMIT = 700.0  # exp overflows past this, clip log-parameters to +-700
-_FTOL = 1e-12  # relative change of the log-likelihood at which a start stops, and starts tie
-_GTOL = 1e-8  # largest free gradient component at which a start stops
+_FTOL = 1e-12  # relative rise of the log-likelihood below its rounding: full Newton steps from there
+_GTOL = 1e-8  # KKT tolerance on |theta dL/dtheta| of a positive parameter and on dL/dtheta of one at 0
 _ARMIJO = 1e-4  # sufficient-increase fraction of the line search
-_HALVINGS = 60  # backtracking steps before a line search gives up
-_START_LOW, _START_HIGH = 1e-5, 10.0  # box of the random starts, per parameter
 _BLOCK_CELLS = 2**15  # (month, risk) cells per block of PanelStats: 32 months at R=1000
 
 
@@ -113,65 +110,70 @@ class PanelStats:
         self._n11 = self.n11[stay].astype(np.float64)
         self._y11 = y[stay]
 
-    def log_likelihood(self, params: ModelParams) -> float:
+    def log_likelihood(self, params: ModelParams | np.ndarray) -> float:
+        """Log-likelihood at ``params``, or at an (alpha, beta, gamma) array whose entries may be 0."""
+        alpha, beta, gamma = params.as_tuple() if isinstance(params, ModelParams) else params
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            u01 = self._y01 * (params.alpha + params.beta * self._k01)
-            u11 = params.gamma * self._y11
+            u01 = self._y01 * (alpha + beta * self._k01)
+            u11 = gamma * self._y11
             return float(
-                params.alpha * self._n00y + params.beta * self._k00y
+                alpha * self._n00y + beta * self._k00y
                 + self._n01 @ np.log(-np.expm1(u01))
-                + params.gamma * self._n10y
+                + gamma * self._n10y
                 + self._n11 @ np.log(-np.expm1(u11))
             )
 
     def gradient(self, params: ModelParams) -> np.ndarray:
-        """Gradient of the log-likelihood with respect to (ln a, ln b, ln g).
-
-        With ``u = e y`` and ``e = alpha + beta k``, the chain rule gives
-        ``d log(1 - exp(u)) / d ln alpha = -f(u) alpha / e`` (``beta k / e``
-        for ln beta), where ``f(u) = u exp(u) / -expm1(u)`` lies in [-1, 0).
-        Every factor is bounded, so each component is finite wherever
-        :meth:`log_likelihood` is.
-        """
-        alpha, beta, gamma = params.as_tuple()
-        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            _, f01, r01, s01 = self._activation_terms(alpha, beta)
-            d_alpha = alpha * self._n00y - self._n01 @ (f01 * r01)
-            d_beta = beta * self._k00y - self._n01 @ (f01 * s01)
-            d_gamma = gamma * self._n10y - self._n11 @ _bounded_slope(gamma * self._y11)
-        return np.array([d_alpha, d_beta, d_gamma], dtype=np.float64)
+        """Gradient of the log-likelihood with respect to (ln a, ln b, ln g); see :meth:`_derivatives`."""
+        theta = np.array(params.as_tuple())
+        return self._derivatives(theta, theta)[0]
 
     def hessian(self, params: ModelParams) -> np.ndarray:
-        """Hessian of the log-likelihood with respect to (ln a, ln b, ln g).
+        """Hessian of the log-likelihood with respect to (ln a, ln b, ln g); see :meth:`_derivatives`."""
+        theta = np.array(params.as_tuple())
+        grad, hess = self._derivatives(theta, theta)
+        return hess + np.diag(grad)  # d theta / d ln theta = theta: the chain rule's second term
 
-        Differentiating :meth:`gradient` once more, with the shares
-        ``r = alpha / e`` and ``s = beta k / e`` and ``q(u) = -f (u + f)``, which
-        is ``f - u f'(u)`` and lies in [-1, 0]: the terms linear in a parameter
-        repeat on the diagonal, each dormant->active cell adds ``q r^2 - f r``,
-        ``q s^2 - f s`` and ``q r s`` to the (a, a), (b, b) and (a, b) entries,
-        and each stay-active transition adds ``q - f`` to (g, g); gamma's cross
-        entries are 0. Every factor is bounded, so each entry is finite wherever
-        :meth:`log_likelihood` is.
+    def _derivatives(self, theta: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian at ``theta`` = (alpha, beta, gamma) in coordinates z with ``dtheta/dz = scale``.
+
+        ``scale = theta`` gives z = (ln a, ln b, ln g) less the Hessian's
+        ``diag(gradient)`` term, ``scale = 1`` the natural parameters. With
+        ``u = e y`` and ``e = alpha + beta k``, ``d log(1 - exp(u)) / de =
+        -f(u) / e``, where ``f(u) = u exp(u) / -expm1(u)`` lies in [-1, 0), and
+        the second derivative is ``q(u) / e^2`` with ``q = -f (u + f)`` in
+        [-1, 0]. So with the shares ``r = scale_a / e`` and ``s = scale_b k / e``
+        each dormant->active cell adds ``-f r`` and ``-f s`` to the gradient and
+        ``q r^2``, ``q s^2`` and ``q r s`` to the (a, a), (b, b) and (a, b)
+        entries, gamma's stay-active transitions likewise with
+        ``scale_g / gamma``, and the dormant stays and recoveries add their
+        linear terms to the gradient; gamma's cross entries are 0. Every factor
+        of the log-space terms is bounded, so each is finite wherever
+        :meth:`log_likelihood` is. A parameter at 0 keeps its sums finite as
+        long as the log-likelihood is, and an empty sum is 0.
         """
-        alpha, beta, gamma = params.as_tuple()
+        alpha, beta, gamma = theta
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            u01, f01, r01, s01 = self._activation_terms(alpha, beta)
-            q01 = -f01 * (u01 + f01)
-            h_aa = alpha * self._n00y + self._n01 @ ((q01 * r01 - f01) * r01)
-            h_bb = beta * self._k00y + self._n01 @ ((q01 * s01 - f01) * s01)
-            h_ab = self._n01 @ (q01 * r01 * s01)
+            e01 = alpha + beta * self._k01
+            # at a hub's large k, u can overflow to -inf, where f's limit is 0; clipping u far
+            # below exp's range gives exactly that and leaves every finite u's f unchanged
+            u01 = np.maximum(self._y01 * e01, -1e3)
             u11 = gamma * self._y11
-            f11 = _bounded_slope(u11)
-            h_gg = gamma * self._n10y - self._n11 @ (f11 * (u11 + f11) + f11)
-        return np.array([[h_aa, h_ab, 0.0], [h_ab, h_bb, 0.0], [0.0, 0.0, h_gg]], dtype=np.float64)
-
-    def _activation_terms(self, alpha: float, beta: float) -> tuple[np.ndarray, ...]:
-        """``u``, ``f(u)`` and the shares ``alpha / e`` and ``beta k / e`` of each nonzero c01 cell."""
-        e01 = alpha + beta * self._k01
-        # at a hub's large k, u can overflow to -inf, where f's limit is 0; clipping u far
-        # below exp's range gives exactly that and leaves every finite u's f unchanged
-        u01 = np.maximum(self._y01 * e01, -1e3)
-        return u01, _bounded_slope(u01), alpha / e01, beta * self._k01 / e01
+            f01, f11 = _bounded_slope(u01), _bounded_slope(u11)
+            q01, q11 = -f01 * (u01 + f01), -f11 * (u11 + f11)
+            r01, s01, r11 = scale[0] / e01, scale[1] * self._k01 / e01, scale[2] / gamma
+            grad = np.array([
+                scale[0] * self._n00y - self._n01 @ (f01 * r01),
+                scale[1] * self._k00y - self._n01 @ (f01 * s01),
+                scale[2] * self._n10y - self._n11 @ (f11 * r11),
+            ])
+            h_ab = self._n01 @ (q01 * r01 * s01)
+            hess = np.array([
+                [self._n01 @ (q01 * r01 * r01), h_ab, 0.0],
+                [h_ab, self._n01 @ (q01 * s01 * s01), 0.0],
+                [0.0, 0.0, self._n11 @ (q11 * r11 * r11)],
+            ])
+        return grad, hess
 
 
 def _bounded_slope(u: np.ndarray) -> np.ndarray:
@@ -194,160 +196,131 @@ def log_likelihood(panel: EventPanel, network: RiskNetwork, params: ModelParams)
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Knobs for the multi-start Newton fit."""
-
-    starts: int = 5
-    seed: int = 0
-    max_iter: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.starts < 0:
-            raise ValidationError(f"starts must be non-negative, got {self.starts}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
 class FitResult:
-    """Outcome of a fit: best parameters plus diagnostics."""
+    """Outcome of a fit: the maximizer plus diagnostics.
 
-    params: ModelParams
+    ``params`` is (alpha, beta, gamma), each at least 0: a supremum on the
+    boundary is reported as exactly 0, which no :class:`ModelParams` holds.
+    """
+
+    params: tuple[float, float, float]
     log_likelihood: float
     iterations: int
     converged: bool
     degenerate: bool
-    n_starts: int
-
-
-def _params_at(theta: np.ndarray) -> ModelParams:
-    return ModelParams(*np.exp(np.clip(theta, -_LOG_LIMIT, _LOG_LIMIT)))
 
 
 def _value(stats: PanelStats, theta: np.ndarray) -> float:
-    value = stats.log_likelihood(_params_at(theta))
+    value = stats.log_likelihood(theta)
     return -math.inf if math.isnan(value) else value
 
 
 def _newton_step(curvature: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve ``(curvature + shift D^2) d = grad`` with the least shift, 0 first, that is positive definite.
+    """Solve ``curvature d = grad`` for a positive semidefinite ``curvature``, scaled to a unit diagonal.
 
-    Nocedal & Wright's Cholesky with added multiple of the identity, applied
-    to the matrix scaled to a unit-magnitude diagonal by ``D = sqrt(|diag|)``:
-    after a failure the shift starts at ``1e-3 - min(scaled diag)`` and then
-    doubles. The scaling lets one shift serve coordinates whose curvatures
-    differ by orders of magnitude (unscaled, a shift sized for gamma held a
-    tiny alpha in a convex region to steps of 1e-4). Every result is an ascent
-    direction, ``grad @ d > 0``.
+    The scaling by ``D = sqrt(|diag|)`` lets one shift serve coordinates whose
+    curvatures differ by orders of magnitude. A coordinate whose lone Newton
+    step ``grad / diag`` would pass 1e280 sits deep in an exponential tail,
+    where every curvature term has underflowed: it counts as flat, with its row
+    and column 0, so no step overflows. Where the scaled matrix is singular, as
+    there or when every activation is at one k and the (alpha, beta) block has
+    rank one, 1e-3 is added to its diagonal (Levenberg-Marquardt), so the step
+    follows the gradient along the flat direction until the line search or the
+    projection stops it. Every result is an ascent direction, ``grad @ d > 0``.
     """
-    scale = np.sqrt(np.abs(np.diag(curvature)))
-    scale[scale == 0.0] = 1.0
+    flat = ~(np.abs(grad) < 1e280 * np.abs(np.diag(curvature)))
+    curvature = np.where(flat | flat[:, None], 0.0, curvature)
+    scale = np.where(flat, 1.0, np.sqrt(np.abs(np.diag(curvature))))
     scaled = curvature / np.outer(scale, scale)
-    eye = np.eye(len(grad))
-    shift = 0.0
-    for _ in range(64):  # a finite matrix is diagonally dominant long before this
-        try:
-            np.linalg.cholesky(scaled + shift * eye)
-        except np.linalg.LinAlgError:
-            shift = max(2 * shift, 1e-3 - min(np.diag(scaled).min(), 0.0))
-            continue
-        return np.linalg.solve(scaled + shift * eye, grad / scale) / scale
-    return grad
+    try:
+        np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError:
+        scaled += 1e-3 * np.eye(len(grad))
+    return np.linalg.solve(scaled, grad / scale) / scale
 
 
-def _line_search(stats: PanelStats, theta: np.ndarray, value: float, step: np.ndarray, slope: float):
-    """Best point found along ``step`` from ``theta``, with its log-likelihood.
+def _line_search(stats: PanelStats, theta: np.ndarray, value: float, step: np.ndarray, grad: np.ndarray):
+    """Best point found on the projected arc ``max(theta + t step, 0)`` and its log-likelihood, or None.
 
-    Backtracks from the full step until the Armijo condition holds. If the full
-    step holds, it doubles instead while the log-likelihood still rises and the
-    step is shorter than the clip range, so a start crosses an exponential tail
-    toward the boundary in a few iterations rather than one unit at a time.
-    Returns ``(theta, value)`` unchanged if no tried step increases enough.
+    Backtracks from the full step until the Armijo condition holds, which in
+    an exponential tail, where the curvature all but vanishes and the Newton
+    step overshoots by orders of magnitude, takes as many halvings as that
+    overshoot has binary orders. If the full step holds, it doubles instead
+    while the log-likelihood still rises, so the ascent crosses a tail toward
+    a supremum at infinity in a few iterations rather than one unit at a time;
+    the log-likelihood is bounded by 0, so the doubling ends. Returns None once
+    the halved step no longer moves ``theta``.
     """
     t = 1.0
-    for _ in range(_HALVINGS):
-        trial = _value(stats, theta + t * step)
-        if trial >= value + _ARMIJO * t * slope:
+    while True:
+        point = np.maximum(theta + t * step, 0.0)
+        if np.array_equal(point, theta):
+            return None
+        trial = _value(stats, point)
+        if trial >= value + _ARMIJO * grad @ (point - theta):
             break
         t /= 2
-    else:
-        return theta, value
-    if t == 1.0:
-        while t * np.abs(step).max() <= _LOG_LIMIT:
-            farther = _value(stats, theta + 2 * t * step)
-            if not farther > trial:
-                break
-            t, trial = 2 * t, farther
-    return theta + t * step, trial
+    while t >= 1.0:
+        far = np.maximum(theta + 2 * t * step, 0.0)
+        far_value = _value(stats, far)
+        if not far_value > trial:
+            break
+        t, point, trial = 2 * t, far, far_value
+    return point, trial
 
 
-def _ascend(stats: PanelStats, theta: np.ndarray, max_iter: int) -> tuple[np.ndarray, float, int, bool]:
-    """Newton iterations from one start: ``(theta, log-likelihood, iterations, converged)``.
+def _full_step(stats: PanelStats, theta: np.ndarray, value: float, step: np.ndarray):
+    """``max(theta + step, 0)`` and its log-likelihood, or None if that is lower by more than ``_FTOL`` relative."""
+    point = np.maximum(theta + step, 0.0)
+    trial = _value(stats, point)
+    return (point, trial) if trial >= value - _FTOL * max(abs(value), 1.0) else None
 
-    Only free coordinates move: those inside the clip with a nonzero gradient
-    or curvature. A start converges once every free gradient component is at
-    most ``_GTOL``, or once an iteration raises the log-likelihood by at most
-    ``_FTOL`` relative. It then ends on one full Newton step, not counted in
-    the iterations and kept unless it lowers the log-likelihood by more than
-    ``_FTOL`` relative, so the end point does not follow the last bit.
+
+def fit(panel: EventPanel, network: RiskNetwork, init: ModelParams | None = None, max_iter: int = 2000) -> FitResult:
+    """Maximum-likelihood estimate of (alpha, beta, gamma) from a panel.
+
+    Runs projected Newton on the exact gradient and Hessian from ``init``
+    (default ``ModelParams(0.01, 0.01, 1.0)``), at most ``max_iter``
+    iterations, as the module docstring describes. It converges only where
+    the KKT conditions hold: every positive parameter's scaled gradient
+    ``|theta dL/dtheta|`` is at most ``_GTOL``, and no parameter at 0 has
+    ``dL/dtheta`` above it. Once a step's predicted rise ``grad @ step`` is
+    within ``_FTOL`` relative, below what the log-likelihood's rounding can
+    judge, it takes full Newton steps instead of searching, each kept unless it
+    lowers the log-likelihood by more than ``_FTOL`` relative. A converged fit
+    ends on one more such step, not counted in ``iterations``, so the end
+    point does not follow the last bit. An ascent that stalls or runs out of
+    iterations short of a KKT point reports ``converged=False``. A panel that never leaves the all-dormant or
+    all-active state puts a supremum at 0 or at infinity, which is reported
+    through ``degenerate`` rather than an exception.
     """
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    stats = PanelStats(panel, network)
+    degenerate = bool((panel.states == 0).all() or (panel.states == 1).all())
+    theta = np.array((init or ModelParams(0.01, 0.01, 1.0)).as_tuple(), dtype=np.float64)
+    natural = np.ones(3)
+    linear = np.array([stats._n01.size == 0, not stats._k01.any(), stats._n11.size == 0])
+    theta[linear & (stats._derivatives(theta, natural)[0] < 0.0)] = 0.0
     value = _value(stats, theta)
-    if not math.isfinite(value):
-        return theta, value, 0, False
-    converged = False
+    if not math.isfinite(value):  # an init so extreme that the log-likelihood overflows
+        return FitResult(tuple(theta.tolist()), value, 0, False, degenerate)
     for iteration in range(max_iter + 1):
-        params = _params_at(theta)
-        grad, hess = stats.gradient(params), stats.hessian(params)
-        free = (np.abs(theta) <= _LOG_LIMIT) & ((grad != 0.0) | (np.diag(hess) != 0.0))
-        if not free.any():
-            return theta, value, iteration, True
-        converged = converged or bool(np.abs(grad[free]).max() <= _GTOL)
+        grad, hess = stats._derivatives(theta, natural)
+        # KKT: a positive parameter's scaled gradient is within _GTOL of 0, and none at 0 rises
+        converged = bool(np.all(np.where(theta > 0.0, np.abs(theta * grad), grad) <= _GTOL))
+        free = ((theta > 0.0) | (grad > _GTOL)) & ((grad != 0.0) | (np.diag(hess) != 0.0))
         step = np.zeros(3)
         step[free] = _newton_step(-hess[np.ix_(free, free)], grad[free])
         if converged or iteration == max_iter:
             break
-        theta, reached = _line_search(stats, theta, value, step, grad @ step)
-        converged = reached - value <= _FTOL * max(abs(value), abs(reached), 1.0)
-        value = reached
+        if grad @ step > _FTOL * max(abs(value), 1.0):
+            moved = _line_search(stats, theta, value, step, grad)
+        else:  # the model's rise is within the rounding of the log-likelihood, which cannot judge it
+            moved = _full_step(stats, theta, value, step)
+        if moved is None:
+            break
+        theta, value = moved
     if converged:
-        polished = _value(stats, theta + step)
-        if polished >= value - _FTOL * max(abs(value), 1.0):
-            theta, value = theta + step, polished
-    return theta, value, iteration, converged
-
-
-def fit(
-    panel: EventPanel,
-    network: RiskNetwork,
-    init: ModelParams | None = None,
-    config: FitConfig = FitConfig(),
-) -> FitResult:
-    """Maximum-likelihood estimate of (alpha, beta, gamma) from a panel.
-
-    Runs safeguarded Newton iterations on the exact gradient and Hessian in
-    log-parameter space from ``init`` (default ``ModelParams(0.01, 0.01, 1.0)``)
-    plus ``config.starts`` random starts drawn log-uniformly from ``[1e-5, 10]``
-    per component, one after the other. The winner is the earliest start whose
-    final value lies within ``_FTOL`` relative of the best, so which start wins
-    does not follow the last bit. ``iterations`` counts the winning start's Newton
-    iterations, at most ``config.max_iter``. A panel that never leaves the
-    all-dormant or all-active state pins some parameters to the search
-    boundary, which is reported through ``degenerate`` rather than an
-    exception. ``converged`` reflects the winning start only.
-    """
-    stats = PanelStats(panel, network)
-    if init is None:
-        init = ModelParams(0.01, 0.01, 1.0)
-    degenerate = bool((panel.states == 0).all() or (panel.states == 1).all())
-
-    starts = [np.log(np.array(init.as_tuple()))]
-    if config.starts:
-        rng = philox_stream(config.seed, 0)
-        box = rng.uniform(math.log(_START_LOW), math.log(_START_HIGH), size=(config.starts, 3))
-        starts.extend(box)
-
-    outcomes = [_ascend(stats, theta0, config.max_iter) for theta0 in starts]
-    best = max(outcome[1] for outcome in outcomes)
-    floor = best - _FTOL * max(abs(best), 1.0)  # -inf when no start has a finite value; then the first start wins
-    theta, value, iterations, converged = next(outcome for outcome in outcomes if outcome[1] >= floor)
-    return FitResult(_params_at(theta), value, iterations, converged, degenerate, len(starts))
+        theta, value = _full_step(stats, theta, value, step) or (theta, value)
+    return FitResult(tuple(theta.tolist()), value, iteration, converged, degenerate)

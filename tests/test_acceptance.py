@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from carpnet import (
-    FitConfig,
     ModelParams,
     SimulationConfig,
     fit,
@@ -134,10 +133,10 @@ def test_criterion_3_fit_recovers_generating_parameters(verdict):
         seed=19,
         initial_state="active",
     )
-    result = fit(panel, network, config=FitConfig(starts=5, seed=0))
+    result = fit(panel, network)
     errors = [
         abs(got - want) / want
-        for got, want in zip(result.params.as_tuple(), true_params.as_tuple())
+        for got, want in zip(result.params, true_params.as_tuple())
     ]
     ll_true = log_likelihood(panel, network, true_params)
     ll_gap = result.log_likelihood - ll_true
@@ -418,8 +417,7 @@ def test_criterion_9_cli_outputs_are_bit_identical(verdict, tmp_path):
 
     fit_out = tmp_path / "fit.json"  # self-describing document, no sidecar
     commands["fit"] = (
-        ["fit", "--network", net, "--panel", panel, "--starts", "2",
-         "--seed", "0", "--output", fit_out],
+        ["fit", "--network", net, "--panel", panel, "--output", fit_out],
         [fit_out],
         True,
     )

@@ -252,8 +252,7 @@ class TestFit:
         out = tmp_path / "fit.json"
         code = run(
             [
-                "fit", "--network", str(network), "--panel", str(panel),
-                "--starts", "1", "--max-iter", "600", "--seed", "3",
+                "fit", "--network", str(network), "--panel", str(panel), "--max-iter", "600",
                 "--output", str(out),
             ]
         )
@@ -265,14 +264,11 @@ class TestFit:
         assert doc["result"]["alpha"] > 0.0
         assert doc["inputs"].keys() == {"network", "panel"}
 
-    def test_deterministic_given_seed(self, tmp_path):
+    def test_deterministic(self, tmp_path):
         network, panel = _generate(tmp_path, panel_length=60)
         out_a = tmp_path / "fit_a.json"
         out_b = tmp_path / "fit_b.json"
-        argv = [
-            "fit", "--network", str(network), "--panel", str(panel),
-            "--starts", "1", "--max-iter", "600", "--seed", "3",
-        ]
+        argv = ["fit", "--network", str(network), "--panel", str(panel), "--max-iter", "600"]
         run(argv + ["--output", str(out_a)])
         run(argv + ["--output", str(out_b)])
         a = json.loads(out_a.read_text())
@@ -395,12 +391,11 @@ SIDECAR_CONTRACT = {
         None,
     ),
     "fit": (
-        ["fit", "--network", "net.json", "--panel", "panel.csv", "--starts", "1", "--seed", "3",
-         "--max-iter", "1500", "--init-alpha", "0.02", "--init-beta", "0.005", "--init-gamma", "2.0",
-         "--threads", "2", "--output", "out"],
+        ["fit", "--network", "net.json", "--panel", "panel.csv", "--max-iter", "1500", "--init-alpha", "0.02",
+         "--init-beta", "0.005", "--init-gamma", "2.0", "--threads", "2", "--output", "out"],
         TABLE_KEYS,
-        {"starts": 1, "seed": 3, "max_iter": 1500, "init": {"alpha": 0.02, "beta": 0.005, "gamma": 2.0}},
-        {"alpha", "beta", "gamma", "log_likelihood", "iterations", "converged", "degenerate", "n_starts"},
+        {"max_iter": 1500, "init": {"alpha": 0.02, "beta": 0.005, "gamma": 2.0}},
+        {"alpha", "beta", "gamma", "log_likelihood", "iterations", "converged", "degenerate"},
     ),
     "steady-state": (
         _table("steady-state", "--tol", "1e-12", "--max-iter", "5000", "--init", "zeros", "--damping", "0.8",
@@ -465,8 +460,7 @@ class TestSidecarContract:
 def _bad_argv(command, flags):
     """A valid call of ``command`` with ``flags`` appended; a repeated flag's last value wins."""
     if command == "fit":
-        base = ["fit", "--network", "net.json", "--panel", "panel.csv", "--starts", "0", "--max-iter", "50",
-                "--output", "out"]
+        base = ["fit", "--network", "net.json", "--panel", "panel.csv", "--max-iter", "50", "--output", "out"]
     elif command == "generate":
         base = ["generate", "--nodes", "4", "--edges", "3", *PARAM_FLAGS, "--panel-length", "3",
                 "--network-out", "out.json", "--panel-out", "out"]
@@ -488,7 +482,7 @@ BAD_FLAGS = [
     *[(c, ("--threads", "0"), {}) for c in ("simulate", "influence", "category-influence", "fit")],
     *[(c, (), {"CARPNET_THREADS": v}) for c in ("simulate", "influence", "fit") for v in ("0", "abc")],
     *[("temporal-influence", ("--source", v), {}) for v in ("-1", "99")],
-    ("fit", ("--starts", "-1"), {}),
+    ("fit", ("--max-iter", "0"), {}),
     *[("fit", ("--init-alpha", v), {}) for v in ("0", "nan")],
     ("generate", ("--nodes", "0"), {}),
     ("generate", ("--edges", "-1"), {}),
@@ -1125,8 +1119,9 @@ class TestImportFootprint:
 
 
 PERFBENCH = SRC.parent / "perfbench"
-# public names deleted because no package code, acceptance test or benchmark read them
-DELETED_NAMES = ("PoissonProbs", "poisson_probs", "prob_activate", "log_likelihood_gradient")
+# public names deleted because no package code, acceptance test or benchmark read them, or (FitConfig)
+# because the fit's restart knobs they held are gone
+DELETED_NAMES = ("PoissonProbs", "poisson_probs", "prob_activate", "log_likelihood_gradient", "FitConfig")
 
 
 def _benchmark_tracer(monkeypatch):
@@ -1147,7 +1142,7 @@ class TestPublicSurface:
         eager = {
             name for name, value in vars(carpnet).items() if not name.startswith("_") and not isinstance(value, ModuleType)
         }
-        assert len(set(carpnet.__all__)) == len(carpnet.__all__) == 46
+        assert len(set(carpnet.__all__)) == len(carpnet.__all__) == 45
         assert set(carpnet.__all__) == eager | set(carpnet._MODULE_OF)
 
     def test_deleted_names_are_absent(self):
